@@ -73,10 +73,14 @@ rec = kernels.log().records[-1]
 print("y = alpha*A*x + beta*y  ->", rec.kernel, "beta =", rec.beta)
 print()
 
-# Anything well-formed that fits no kernel pattern still evaluates,
-# through a naive element-wise fallback.
+# Statements that fit no single kernel become a short kernel sequence:
+# a matrix sum works on the flat buffers, and a chain goes through one
+# temporary.
 kernels.reset_log()
 summed = evaluate(a + b)
-print("A + B (no BLAS pattern) via",
-      [r.kernel for r in kernels.log().records])
+print("A + B via", [r.kernel for r in kernels.log().records])
 print(format_tensor(summed))
+kernels.reset_log()
+chain = evaluate(a * b * a)
+print("A*B*A via", [r.kernel for r in kernels.log().records],
+      "temporaries:", kernels.log().allocations - 1)

@@ -2,7 +2,8 @@
 
 Arbitrary-rank dense tensors with column-major storage, a lazy
 operator-overloading expression layer that pattern-matches statements
-onto single kernel calls (copy, axpy, dot, nrm2, gemv, ger, gemm), a
+onto kernel calls (copy, axpy, dot, nrm2, gemv, ger, gemm) -- one call
+where one kernel fits, a short sequence with temporaries otherwise -- a
 pluggable backend (hand-written reference loops or an optimized BLAS via
 scipy), and a benchmark harness comparing the two call styles.
 

@@ -42,7 +42,7 @@ DEFAULT_SIZES = {
     "gemm": tuple(2 ** p for p in range(3, 12)),
 }
 
-ALPHA, BETA = 0.5, 4.0
+ALPHA, BETA = 0.5, 0.25
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Lazy algebraic expressions over tensors, lowered to single kernel calls.
+"""Lazy algebraic expressions over tensors, lowered to BLAS kernel calls.
 
 Arithmetic on :class:`~lazyblas.tensor.Tensor` objects builds a small
 tree instead of computing anything.  When a result is demanded
@@ -10,9 +10,18 @@ patterns, so a statement like
     C += alpha * transpose(A) * beta * B
 
 reaches the backend as exactly one gemm call with ``transA`` set and
-``alpha*beta`` folded, with no intermediate tensor.  Well-formed shapes
-that fit no kernel pattern fall back to a naive recursive evaluation;
-they never raise.
+``alpha*beta`` folded, with no intermediate tensor.
+
+A statement that fits no single kernel becomes a short sequence of
+them.  Scaled sums of tensors of any rank become copy/axpy over the flat
+column-major buffers.  A ``beta*dest`` addend beside one gemv/gemm
+becomes its beta, in either position.  A product factor that is itself
+a product or a sum is computed first into a temporary tensor (counted in
+``log().allocations``), following the tree's own parenthesization:
+``A*B*A`` is a gemm into a temporary, then a gemm.  Well-formed
+statements with no kernel route, and those where the destination also
+appears as an addend, fall back to a naive recursive evaluation; they
+never raise.
 
 Expression trees hold tensor references, never copies, and are only
 valid for the duration of the statement that builds them.
@@ -372,10 +381,13 @@ def _flatten_sum(n, out):
 
 
 def _contains_tensor(n, tensor, in_product=False):
-    """Does ``tensor`` occur in ``n``?  Returns (found, found_in_product)."""
+    """Does ``tensor``'s storage occur in ``n``?  Returns (found,
+    found_in_product).  Overlap counts, not only identity: two ``wrap``
+    views of one buffer alias each other, interleaved ones do not."""
     t = type(n)
     if t is Term:
-        if n.tensor is tensor:
+        if n.tensor is tensor or np.shares_memory(n.tensor._data,
+                                                  tensor._data):
             return True, in_product
         return False, False
     if t is Literal:
@@ -385,118 +397,129 @@ def _contains_tensor(n, tensor, in_product=False):
     return f1 or f2, p1 or p2
 
 
-def _match_product(n):
-    """(pattern, left Term, right Term) for a two-term product, else None."""
-    if type(n) is not Product:
-        return None
-    l, r = n.left, n.right
-    if type(l) is not Term or type(r) is not Term:
-        return None
-    lrank, rrank = l.tensor.rank, r.tensor.rank
-    if lrank == 2 and rrank == 1 and not r.trans:
-        return "gemv", l, r
-    if lrank == 2 and rrank == 2:
-        return "gemm", l, r
-    if lrank == 1 and rrank == 1 and not l.trans and r.trans:
-        return "ger", l, r
-    if lrank == 1 and rrank == 1 and l.trans and not r.trans:
-        return "dot", l, r
-    return None
-
-
-def _check_no_dest_alias(n, dest, context):
+def _check_no_dest_alias(n, dest):
     found, in_product = _contains_tensor(n, dest)
     if found and in_product:
         raise AliasingError(
-            f"destination appears as a multiplicand operand in {context}; "
-            "evaluate into a different tensor"
+            "destination appears as a multiplicand operand in this "
+            "expression; evaluate into a different tensor"
         )
     return found
 
 
+def _temporary(n, kind, ops):
+    """A leaf for product factor ``n``: a fresh tensor of ``n``'s kind,
+    filled by the ops appended to ``ops``.  Like ``evaluate``'s result, it
+    starts zeroed and is accumulated into."""
+    tmp = Tensor(kind.rank, *kind.extents, dtype=_expr_dtype(n))
+    ops += _lower_sum(tmp, n, 1.0)
+    return Term(1.0, tmp, kind.covector)
+
+
+def _lower_product(n, dest, beta, ops):
+    """Append to ``ops`` the kernel calls for ``dest <- n + beta*dest``
+    (the value of a dot when ``dest`` is None), factors first.
+
+    Returns False, appending nothing, when ``n`` has no kernel route: a
+    factor is scalar-valued, or a ger would need a beta other than 0
+    (a zero-fill before it) or 1 (its own update).
+    """
+    l, r = n.left, n.right
+    lk = None if type(l) is Term else _infer(l)
+    rk = None if type(r) is Term else _infer(r)
+    if lk is SCALAR or rk is SCALAR:
+        return False
+    # n has passed kind inference, so the factor ranks admit one kernel
+    if (l.tensor.rank if lk is None else lk.rank) == 2:
+        rrank = r.tensor.rank if rk is None else rk.rank
+        kernel = "gemv" if rrank == 1 else "gemm"
+    elif l.trans if lk is None else lk.covector:
+        kernel = "dot"
+    elif beta == 0.0 or beta == 1.0:
+        kernel = "ger"
+    else:
+        return False
+    if lk is not None:
+        l = _temporary(l, lk, ops)
+    if rk is not None:
+        r = _temporary(r, rk, ops)
+    operands = (l.tensor, r.tensor)
+    alpha = l.coef * r.coef
+    if kernel == "ger":
+        ops.append(LoweredOp("ger", operands, alpha=alpha, dest=dest,
+                             pre_zero=beta == 0.0))
+    elif kernel != "dot" and beta != 1.0 \
+            and l.tensor.extents[0 if l.trans else 1] == 0:
+        # the kernels skip an empty contraction, but dest must still
+        # become beta*dest
+        prod = Product(l, r)
+        expr = prod if beta == 0.0 else Sum(prod, Term(beta, dest))
+        ops.append(LoweredOp("fallback", expr=expr, dest=dest))
+    else:
+        ops.append(LoweredOp(kernel, operands, trans_a=l.trans,
+                             trans_b=r.trans, alpha=alpha, beta=beta,
+                             dest=dest))
+    return True
+
+
 def _lower_scalar(n):
-    m = _match_product(n)
-    if m is not None and m[0] == "dot":
-        _, l, r = m
-        return [LoweredOp("dot", (l.tensor, r.tensor), alpha=l.coef * r.coef)]
+    ops = []
+    if type(n) is Product and _lower_product(n, None, 0.0, ops):
+        return ops  # a scalar-valued product of tensors: a dot
     return [LoweredOp("fallback", expr=n)]
 
 
-def _lower_addend(dest, addend, first_assign):
-    """Kernel op for one addend of a sum written into ``dest``.
+def _lower_addend(dest, addend, beta, ops):
+    """Append the ops for ``dest <- addend + beta*dest``, beta 0 or 1.
 
-    ``first_assign`` means dest's current contents are dead (assign mode,
-    first addend); otherwise the op must accumulate.
+    A scaled leaf works on the flat column-major buffers, whatever its
+    rank; a transposed matrix has no such route.
     """
-    beta = 0.0 if first_assign else 1.0
-    m = _match_product(addend)
-    if m is not None:
-        pattern, l, r = m
-        alpha = l.coef * r.coef
-        if pattern == "gemv":
-            _check_no_dest_alias(addend, dest, "a matrix-vector product")
-            return LoweredOp("gemv", (l.tensor, r.tensor), trans_a=l.trans,
-                             alpha=alpha, beta=beta, dest=dest)
-        if pattern == "gemm":
-            _check_no_dest_alias(addend, dest, "a matrix-matrix product")
-            return LoweredOp("gemm", (l.tensor, r.tensor), trans_a=l.trans,
-                             trans_b=r.trans, alpha=alpha, beta=beta, dest=dest)
-        if pattern == "ger":
-            _check_no_dest_alias(addend, dest, "an outer product")
-            return LoweredOp("ger", (l.tensor, r.tensor), alpha=alpha,
-                             dest=dest, pre_zero=first_assign)
-    if type(addend) is Term and not addend.trans:
-        if first_assign and addend.coef == 1.0:
-            return LoweredOp("copy", (addend.tensor,), dest=dest)
-        if not first_assign and addend.tensor.rank == 1:
-            return LoweredOp("axpy", (addend.tensor,), alpha=addend.coef,
-                             dest=dest)
-    return LoweredOp("fallback", expr=addend, dest=dest,
-                     accumulate=not first_assign)
+    if type(addend) is Term:
+        if not addend.trans or addend.tensor.rank == 1:
+            if beta == 0.0 and addend.coef == 1.0:
+                ops.append(LoweredOp("copy", (addend.tensor,), dest=dest))
+            else:
+                ops.append(LoweredOp("axpy", (addend.tensor,),
+                                     alpha=addend.coef, dest=dest,
+                                     pre_zero=beta == 0.0))
+            return
+    elif type(addend) is Product and _lower_product(addend, dest, beta, ops):
+        return
+    ops.append(LoweredOp("fallback", expr=addend, dest=dest,
+                         accumulate=beta != 0.0))
 
 
 def _lower_into(dest, mode, n):
-    addends = []
-    _flatten_sum(n, addends)
-
-    # recognize a trailing beta*dest addend so `dest = E + beta*dest` and
-    # `dest += E + beta*dest` both reach one beta-carrying kernel call
-    beta0 = 0.0
-    trailing = addends[-1]
-    stripped = False
-    if (len(addends) >= 2 and type(trailing) is Term
-            and trailing.tensor is dest and not trailing.trans):
-        rest = addends[:-1]
-        if len(rest) == 1:
-            m = _match_product(rest[0])
-            if m is not None and m[0] in ("gemv", "gemm"):
-                beta0 = trailing.coef
-                addends = rest
-                stripped = True
-
-    if stripped:
-        beta = beta0 + 1.0 if mode == "accumulate" else beta0
-        pattern, l, r = _match_product(addends[0])
-        alpha = l.coef * r.coef
-        _check_no_dest_alias(addends[0], dest, f"a {pattern} pattern")
-        if pattern == "gemv":
-            return [LoweredOp("gemv", (l.tensor, r.tensor), trans_a=l.trans,
-                              alpha=alpha, beta=beta, dest=dest)]
-        return [LoweredOp("gemm", (l.tensor, r.tensor), trans_a=l.trans,
-                          trans_b=r.trans, alpha=alpha, beta=beta, dest=dest)]
-
-    # destination appearing elsewhere: inside a product is an error; in a
-    # purely additive position the whole expression is evaluated alias-safe
-    found = _check_no_dest_alias(n, dest, "this expression")
-    if found:
+    beta = 1.0 if mode == "accumulate" else 0.0
+    # dest inside a product is an error; in an additive position it is
+    # either the beta of the one kernel call for the other addend or
+    # evaluated alias-safe
+    if _check_no_dest_alias(n, dest):
+        addends = []
+        _flatten_sum(n, addends)
+        if len(addends) == 2:
+            for scaled, prod in (addends, addends[::-1]):
+                ops = []
+                if (type(scaled) is Term and scaled.tensor is dest
+                        and not scaled.trans and type(prod) is Product
+                        and _lower_product(prod, dest, scaled.coef + beta,
+                                           ops)):
+                    return ops
         return [LoweredOp("fallback", expr=n, dest=dest,
                           accumulate=mode == "accumulate")]
+    return _lower_sum(dest, n, beta)
 
+
+def _lower_sum(dest, n, beta):
+    """The ops for ``dest <- n + beta*dest``, beta 0 or 1, where ``dest``'s
+    storage does not occur in ``n``: one addend after the other."""
+    addends = []
+    _flatten_sum(n, addends)
     ops = []
-    first_assign = mode == "assign"
     for addend in addends:
-        ops.append(_lower_addend(dest, addend, first_assign))
-        first_assign = False
+        _lower_addend(dest, addend, beta, ops)
+        beta = 1.0
     return ops
 
 
@@ -514,9 +537,12 @@ def lower(e, dest=None, mode="assign"):
     """Translate an expression into a sequence of LoweredOps.
 
     With no destination, a scalar-kind expression lowers to a dot or a
-    scalar fallback; tensor kinds require ``dest``.  Patterns are matched
-    most-specific-first; anything well-formed but unmatched becomes a
-    single ``fallback`` op.
+    scalar fallback; tensor kinds require ``dest``.  Each addend of a sum
+    becomes copy/axpy (scaled leaves of any rank) or one gemv/ger/gemm;
+    a ``beta*dest`` addend beside one gemv/gemm becomes its beta.  A
+    product factor that is not a leaf is lowered first, in the tree's own
+    parenthesization, into a fresh temporary tensor allocated here.  What
+    has no kernel route becomes a ``fallback`` op.
     """
     if mode not in ("assign", "accumulate"):
         raise ValueError(f"mode must be 'assign' or 'accumulate', not {mode!r}")
@@ -601,6 +627,9 @@ def _naive_mul(left, right):
 
 def _run_op(op):
     k = op.kernel
+    if op.pre_zero:
+        op.dest._data.fill(0.0)
+        kernels.log().element_writes += op.dest.size
     if k == "dot":
         return op.alpha * kernels.dot(*op.operands)
     if k == "copy":
@@ -614,10 +643,6 @@ def _run_op(op):
                      op.beta, op.dest)
         return op.dest
     if k == "ger":
-        if op.pre_zero:
-            view = op.dest.column_view()
-            view[...] = 0.0
-            kernels.log().element_writes += op.dest.size
         kernels.ger(op.alpha, op.operands[0], op.operands[1], op.dest)
         return op.dest
     if k == "gemm":
@@ -629,6 +654,7 @@ def _run_op(op):
     if op.dest is None:
         if _is_cov(value):
             raise ShapeError("a bare transposed vector has no scalar value")
+        kernels.log().record("fallback", ())
         return float(value)
     kernels.log().record("fallback", (op.dest.extents,))
     view = op.dest.column_view()
@@ -700,7 +726,7 @@ def evaluate(e):
         return _execute(_lower_scalar(n))
     dtype = _expr_dtype(n) or np.float64
     dest = Tensor(kind.rank, *kind.extents, dtype=dtype)
-    _execute(_lower_into(dest, "accumulate", n))
+    _execute(_lower_sum(dest, n, 1.0))
     return dest
 
 

@@ -19,6 +19,7 @@ written, the call is still logged.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import ShapeError, UnknownBackendError
 __all__ = [
     "CallLog",
     "CallRecord",
+    "CallRecords",
     "available_backends",
     "axpy",
     "copy",
@@ -47,7 +49,7 @@ __all__ = [
 # instrumentation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CallRecord:
     kernel: str
     shapes: tuple
@@ -56,35 +58,81 @@ class CallRecord:
     trans: tuple = ()
 
 
+class CallRecords(Sequence):
+    """The records of a call log, oldest first, as :class:`CallRecord`.
+
+    Each is stored as a plain tuple of atomic values and interned
+    tuples, which the garbage collector stops tracking on its first pass,
+    so a log of millions of calls adds nothing to collection pauses.
+    Indexing and iteration build the CallRecord.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, records=()):
+        self._rows = [(r.kernel, r.shapes, r.alpha, r.beta, r.trans)
+                      for r in records]
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [CallRecord(*row) for row in self._rows[i]]
+        return CallRecord(*self._rows[i])
+
+    def __iter__(self):
+        return (CallRecord(*row) for row in self._rows)
+
+    def __eq__(self, other):
+        if isinstance(other, CallRecords):
+            return self._rows == other._rows
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self):
+        return f"CallRecords({list(self)!r})"
+
+
+_interned: dict = {}  # shapes and trans tuples: the first equal one seen
+
+
 @dataclass
 class CallLog:
     """Append-only instrumentation attached to kernel dispatch.
 
-    ``element_writes`` counts destination elements written by kernels
-    and fallback loops; ``allocations`` counts tensor buffer
+    ``records`` holds one :class:`CallRecord` per kernel call and
+    fallback loop; ``element_writes`` counts destination elements written
+    by kernels and fallback loops; ``allocations`` counts tensor buffer
     allocations.  Reset is explicit.
     """
 
-    records: list = field(default_factory=list)
+    records: CallRecords = field(default_factory=CallRecords)
     element_writes: int = 0
     allocations: int = 0
 
     def reset(self) -> None:
-        self.records.clear()
+        self.records._rows.clear()
         self.element_writes = 0
         self.allocations = 0
 
     def record(self, kernel, shapes, alpha=None, beta=None, trans=()) -> None:
-        self.records.append(CallRecord(kernel, shapes, alpha, beta, trans))
+        # interned: a fresh nested tuple would keep the row tracked for
+        # one collector pass per level of nesting
+        intern = _interned.setdefault
+        self.records._rows.append((kernel, intern(shapes, shapes), alpha,
+                                   beta, intern(trans, trans)))
 
     def kernel_counts(self) -> dict:
         counts: dict = {}
-        for r in self.records:
-            counts[r.kernel] = counts.get(r.kernel, 0) + 1
+        for row in self.records._rows:
+            counts[row[0]] = counts.get(row[0], 0) + 1
         return counts
 
     def snapshot(self) -> "CallLog":
-        return CallLog(list(self.records), self.element_writes, self.allocations)
+        return CallLog(CallRecords(self.records), self.element_writes,
+                       self.allocations)
 
 
 _active_log = CallLog()
@@ -301,14 +349,18 @@ def copy(x, dest) -> None:
 
 
 def axpy(alpha, x, y) -> None:
-    """y <- alpha*x + y for vectors."""
+    """y <- alpha*x + y for tensors of equal extents, any rank.
+
+    Works on the flat column-major buffers: every tensor is a vector in
+    storage order.
+    """
     _check_same_dtype(x, y)
-    if x.rank != 1 or y.rank != 1 or x.extents != y.extents:
-        raise ShapeError(f"axpy: incompatible vectors {x.extents} vs {y.extents}")
+    if x.extents != y.extents:
+        raise ShapeError(f"axpy: shape mismatch {x.extents} vs {y.extents}")
     _active_log.record("axpy", (x.extents, y.extents), alpha=alpha)
     if x.size == 0:
         return
-    _current.axpy(alpha, x.column_view(), y.column_view())
+    _current.axpy(alpha, x._data, y._data)
     _active_log.element_writes += y.size
 
 

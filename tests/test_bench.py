@@ -92,6 +92,22 @@ def test_run_times_both_variants_on_one_operand_set(op, monkeypatch):
         assert all(e is d for e, d in zip(expression, direct)), n
 
 
+def test_run_keeps_shared_destination_finite(monkeypatch):
+    # Both variants update one destination C <- ALPHA*A*B + BETA*C in turn,
+    # 2*(reps + 1) times per size: BETA must contract, or C overflows.
+    kept = []
+    statement = bench._statement
+
+    def keeping_statement(op, operands, variant):
+        kept.append(operands)
+        return statement(op, operands, variant)
+
+    monkeypatch.setattr(bench, "_statement", keeping_statement)
+    run(BenchSpec("gemm", sizes=(8,), repetitions=300))
+    c = kept[-1][-1]
+    assert np.all(np.isfinite(c.to_numpy()))
+
+
 def test_csv_layout(tmp_path):
     records = [BenchRecord("dot", 8, "expression", 1.234, 0.1, 10),
                BenchRecord("dot", 8, "direct", 1.0, 0.05, 10)]

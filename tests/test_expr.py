@@ -245,10 +245,57 @@ def test_lower_aliasing_rejected(rng):
         assign(c, b * c)
 
 
+def test_overlapping_wraps_as_multiplicands_rejected(rng):
+    buf = rng.random(16)
+    a = Tensor.wrap((4, 4), buf)
+    c = Tensor.wrap((4, 4), buf)
+    b = rand_tensor(rng, 4, 4)
+    with pytest.raises(AliasingError):
+        assign(c, a * a)
+    with pytest.raises(AliasingError):
+        assign(c, b * (a * b))  # nested: the temporary's factor overlaps
+    y = Tensor.wrap((4,), buf[4:])
+    x = Tensor.wrap((4,), buf[6:])  # shares two elements with y
+    with pytest.raises(AliasingError):
+        assign(y, b * x)
+
+
+def test_additive_overlap_evaluates_alias_safe(rng):
+    buf = rng.random(9)
+    d = Tensor.wrap((3, 3), buf)
+    q = Tensor.wrap((3, 3), buf)
+    p = rand_tensor(rng, 3, 3)
+    want = p.to_numpy() + 2.0 * q.to_numpy()
+    reset_log()
+    assign(d, p + 2.0 * q)  # a copy of p into d first would clobber q
+    assert log().kernel_counts() == {"fallback": 1}
+    np.testing.assert_allclose(d.to_numpy(), want, rtol=1e-15)
+
+
+def test_disjoint_halves_of_one_buffer_lower_to_kernels(rng):
+    buf = rng.random(32)
+    a = Tensor.wrap((4, 4), buf[:16])
+    c = Tensor.wrap((4, 4), buf[16:])
+    want = a.to_numpy() @ a.to_numpy()
+    reset_log()
+    assign(c, a * a)
+    accumulate(c, 2.0 * a)
+    assert [r.kernel for r in log().records] == ["gemm", "axpy"]
+    np.testing.assert_allclose(c.to_numpy(), want + 2.0 * a.to_numpy(),
+                               rtol=1e-14)
+    even = Tensor.wrap((4, 4), buf[0::2])  # interleaved, never overlapping
+    odd = Tensor.wrap((4, 4), buf[1::2])
+    want = even.to_numpy() @ even.to_numpy()
+    reset_log()
+    assign(odd, even * even)
+    assert log().kernel_counts() == {"gemm": 1}
+    np.testing.assert_allclose(odd.to_numpy(), want, rtol=1e-14)
+
+
 def test_fallback_for_elementwise_matrix_add(rng):
     a, b, c = (rand_tensor(rng, 3, 3) for _ in range(3))
     ops = lower(a + b, dest=c, mode="assign")
-    assert [op.kernel for op in ops] == ["copy", "fallback"]
+    assert [op.kernel for op in ops] == ["copy", "axpy"]
     assign(c, a + b)
     np.testing.assert_allclose(c.to_numpy(), a.to_numpy() + b.to_numpy(),
                                rtol=1e-15)
@@ -321,6 +368,15 @@ def test_scale_in_place_via_fallback(rng):
     before = c.to_numpy()
     assign(c, 3.0 * c)  # dest in additive position: alias-safe fallback
     np.testing.assert_allclose(c.to_numpy(), 3.0 * before, rtol=1e-15)
+
+
+def test_scalar_fallback_is_logged(rng):
+    x, y, z, w = (rand_tensor(rng, 5) for _ in range(4))
+    reset_log()
+    s = evaluate(transpose(x) * y + transpose(z) * w)  # no single dot
+    assert log().kernel_counts() == {"fallback": 1}
+    want = x.to_numpy() @ y.to_numpy() + z.to_numpy() @ w.to_numpy()
+    assert s == pytest.approx(want, rel=1e-14)
 
 
 def test_assign_kind_mismatch(rng):

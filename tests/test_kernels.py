@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,50 @@ def test_axpy_exact_vs_loop(rng):
     expect = [2.5 * a + b for a, b in zip(x, y)]
     kernels.axpy(2.5, x, y)
     assert list(y) == expect  # bit-exact on the naive backend
+
+
+def test_axpy_any_rank_flat_buffers(rng):
+    x = rand_tensor(rng, 2, 3, 4)
+    y = rand_tensor(rng, 2, 3, 4)
+    expect = 1.5 * x.to_numpy() + y.to_numpy()
+    kernels.axpy(1.5, x, y)
+    np.testing.assert_array_equal(y.to_numpy(), expect)
+    with pytest.raises(ShapeError):
+        kernels.axpy(1.0, rand_tensor(rng, 2, 3), rand_tensor(rng, 3, 2))
+
+
+def test_call_records_have_no_instance_dict():
+    # slots keep a long-lived call log small
+    kernels.dot(vector(2), vector(2))
+    rec = log().records[-1]
+    assert not hasattr(rec, "__dict__")
+    assert (rec.kernel, rec.shapes, rec.trans) == ("dot", ((2,), (2,)), ())
+
+
+def test_call_log_reads_as_a_sequence_of_records():
+    reset_log()
+    kernels.dot(vector(2), vector(2))
+    snap = log().snapshot()
+    kernels.axpy(2.0, vector(3), vector(3))
+    assert len(snap.records) == 1 and len(log().records) == 2
+    assert log().records[1:] == [kernels.CallRecord("axpy", ((3,), (3,)), 2.0)]
+    assert [r.kernel for r in log().records] == ["dot", "axpy"]
+    assert log().records[0] == snap.records[0]
+
+
+def test_call_log_leaves_nothing_for_the_garbage_collector():
+    # a long log must not lengthen collection pauses: its rows are
+    # untracked on the collector's first pass, also when a destination's
+    # extents die with it
+    x = vector(3)
+    kernels.copy(x, Tensor(1, 3))
+    gc.collect()
+    gc.collect()
+    n0 = len(gc.get_objects())
+    for _ in range(1000):
+        kernels.copy(x, Tensor(1, 3))
+    gc.collect(0)
+    assert len(gc.get_objects()) - n0 < 100
 
 
 # -- dot / nrm2 ---------------------------------------------------------------

@@ -11,7 +11,6 @@ from lazyblas import (
     evaluate,
     format_tensor,
     kernels,
-    normalize,
     transpose,
 )
 
@@ -36,9 +35,9 @@ kernels.reset_log()
 e = alpha * transpose(a) * beta * b
 print("expression built, kernel calls so far:", len(kernels.log().records))
 
-# Normalization folds every scalar into one coefficient per leaf and
-# collapses transposes onto the leaves.
-print("normalized form:", normalize(e))
+# The tree is canonical as it is built: every scalar folds into one
+# coefficient per leaf and a transpose is a flag on its leaf.
+print("tree as built:", e)
 print()
 
 # A compound assignment runs the whole statement as ONE kernel call:

@@ -1,9 +1,11 @@
 """lazyblas: lazily evaluated tensor algebra lowered to BLAS-level kernels.
 
-Arbitrary-rank dense tensors with column-major storage, a lazy
-operator-overloading expression layer that pattern-matches statements
-onto kernel calls (copy, axpy, dot, nrm2, gemv, ger, gemm) -- one call
-where one kernel fits, a short sequence with temporaries otherwise -- a
+Arbitrary-rank dense float32/float64 tensors with column-major storage,
+a lazy operator-overloading expression layer whose operators build
+canonical trees (scalars folded into leaf coefficients, transposes as
+leaf flags) and that pattern-matches statements onto kernel calls (copy,
+axpy, dot, nrm2, gemv, ger, gemm) -- one call where one kernel fits, a
+short sequence with temporaries otherwise -- a
 pluggable backend (hand-written reference loops or an optimized BLAS via
 scipy), and a benchmark harness comparing the two call styles.
 
@@ -40,7 +42,6 @@ from .expr import (
     ResultKind,
     Sum,
     Term,
-    Transposed,
     accumulate,
     assign,
     evaluate,
@@ -73,7 +74,6 @@ __all__ = [
     "Sum",
     "Tensor",
     "Term",
-    "Transposed",
     "UnknownBackendError",
     "UnsupportedOperationError",
     "accumulate",

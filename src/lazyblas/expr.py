@@ -1,11 +1,13 @@
 """Lazy algebraic expressions over tensors, lowered to BLAS kernel calls.
 
 Arithmetic on :class:`~lazyblas.tensor.Tensor` objects builds a small
-tree instead of computing anything.  When a result is demanded
-(:func:`evaluate`, :func:`assign`, :func:`accumulate`, or ``+=``) the
-tree is normalized -- scalar factors fold into per-leaf coefficients,
-transposes collapse onto leaves -- and matched against the BLAS-level
-patterns, so a statement like
+tree instead of computing anything.  The tree is canonical as it is
+built: ``*`` folds every scalar factor into a per-leaf coefficient and
+``transpose`` flips a flag on its leaf, bottom-up in the order Python
+evaluates the operators, so there is no separate normalization pass.
+When a result is demanded (:func:`evaluate`, :func:`assign`,
+:func:`accumulate`, or ``+=``) the tree is matched against the
+BLAS-level patterns, so a statement like
 
     C += alpha * transpose(A) * beta * B
 
@@ -44,7 +46,6 @@ __all__ = [
     "SCALAR",
     "Sum",
     "Term",
-    "Transposed",
     "LoweredOp",
     "accumulate",
     "assign",
@@ -111,13 +112,28 @@ class ResultKind:
 
 
 class Node:
+    """Base of the expression nodes.
+
+    The operators keep a tree canonical as they build it: a scalar
+    factor scales the tensor-valued side it multiplies (``Term``
+    coefficients, every addend of a sum, the left factor of a product)
+    and never stays a node beside it.
+    """
+
     __slots__ = ()
 
     def __mul__(self, other):
-        return Product(self, _as_node(other))
+        t = type(other)
+        if t is Tensor:
+            return Product(self, Term(1.0, other))
+        if t is float:
+            return self._scaled(other)
+        return _product(self, _as_node(other))
 
     def __rmul__(self, other):
-        return Product(_as_node(other), self)
+        if type(other) is float:
+            return self._scaled(other)
+        return _product(_as_node(other), self)
 
     def __add__(self, other):
         return Sum(self, _as_node(other))
@@ -133,6 +149,14 @@ class Literal(Node):
 
     def __init__(self, value):
         self.value = value
+
+    def __mul__(self, other):
+        # a scalar on the left scales the other side (Node.__mul__'s
+        # fast path would keep this Literal as a factor)
+        return _as_node(other)._scaled(self.value)
+
+    def _scaled(self, g):
+        return Literal(g * self.value)
 
     def __repr__(self):
         return f"Literal({self.value!r})"
@@ -152,19 +176,12 @@ class Term(Node):
         self.tensor = tensor
         self.trans = trans
 
+    def _scaled(self, g):
+        return Term(g * self.coef, self.tensor, self.trans)
+
     def __repr__(self):
         flip = "^T" if self.trans else ""
         return f"Term({self.coef!r} * {self.tensor!r}{flip})"
-
-
-class Transposed(Node):
-    __slots__ = ("child",)
-
-    def __init__(self, child):
-        self.child = child
-
-    def __repr__(self):
-        return f"Transposed({self.child!r})"
 
 
 class Sum(Node):
@@ -173,6 +190,9 @@ class Sum(Node):
     def __init__(self, left, right):
         self.left = left
         self.right = right
+
+    def _scaled(self, g):
+        return Sum(self.left._scaled(g), self.right._scaled(g))
 
     def __repr__(self):
         return f"Sum({self.left!r}, {self.right!r})"
@@ -185,11 +205,22 @@ class Product(Node):
         self.left = left
         self.right = right
 
+    def _scaled(self, g):
+        return Product(self.left._scaled(g), self.right)
+
     def __repr__(self):
         return f"Product({self.left!r}, {self.right!r})"
 
 
 def _as_node(x):
+    # exact types first: the Real ABC check costs more than the rest
+    t = type(x)
+    if t is Tensor:
+        return Term(1.0, x)
+    if t is float:
+        return Literal(x)
+    if t is int:
+        return Literal(float(x))
     if isinstance(x, Node):
         return x
     if isinstance(x, Tensor):
@@ -197,6 +228,15 @@ def _as_node(x):
     if isinstance(x, Real) and not isinstance(x, bool):
         return Literal(float(x))
     raise TypeError(f"cannot use {type(x).__name__} in a tensor expression")
+
+
+def _product(left, right):
+    """``left * right`` in canonical form: a scalar side scales the other."""
+    if type(left) is Literal:
+        return right._scaled(left.value)
+    if type(right) is Literal:
+        return left._scaled(right.value)
+    return Product(left, right)
 
 
 def lit(value) -> Literal:
@@ -212,8 +252,20 @@ def leaf(tensor) -> Term:
 
 
 def transpose(e):
-    """Transpose of a vector or matrix expression (involution)."""
-    return Transposed(_as_node(e))
+    """Transpose of a vector or matrix leaf, optionally scaled: the same
+    leaf with its transpose flag flipped (an involution)."""
+    if type(e) is Tensor and len(e.extents) <= 2:
+        return Term(1.0, e, True)
+    n = _as_node(e)
+    if type(n) is not Term:
+        raise UnsupportedOperationError(
+            "transpose applies to vector or matrix leaves (optionally scaled)"
+        )
+    if len(n.tensor.extents) > 2:
+        raise UnsupportedOperationError(
+            f"transpose of a rank-{n.tensor.rank} tensor is not supported"
+        )
+    return Term(n.coef, n.tensor, not n.trans)
 
 
 def structurally_equal(a, b) -> bool:
@@ -224,118 +276,88 @@ def structurally_equal(a, b) -> bool:
         return a.value == b.value
     if ta is Term:
         return a.coef == b.coef and a.tensor is b.tensor and a.trans == b.trans
-    if ta is Transposed:
-        return structurally_equal(a.child, b.child)
     return structurally_equal(a.left, b.left) and structurally_equal(a.right, b.right)
 
 
-# ---------------------------------------------------------------------------
-# normalization: fold scalars into term coefficients, collapse transposes
-
-
-def _scale(n, g):
-    t = type(n)
-    if t is Literal:
-        return Literal(g * n.value)
-    if t is Term:
-        return Term(g * n.coef, n.tensor, n.trans)
-    if t is Product:
-        return Product(_scale(n.left, g), n.right)
-    return Sum(_scale(n.left, g), _scale(n.right, g))
-
-
 def normalize(e):
-    """Canonical form: every scalar factor folded into a Term coefficient,
-    every transpose a flag on a Term.  Idempotent."""
-    n = _as_node(e)
-    t = type(n)
-    if t is Literal or t is Term:
-        return n
-    if t is Transposed:
-        c = normalize(n.child)
-        if type(c) is Term:
-            if c.tensor.rank > 2:
-                raise UnsupportedOperationError(
-                    f"transpose of a rank-{c.tensor.rank} tensor is not supported"
-                )
-            return Term(c.coef, c.tensor, not c.trans)
-        raise UnsupportedOperationError(
-            "transpose applies to vector or matrix leaves (optionally scaled)"
-        )
-    left = normalize(n.left)
-    right = normalize(n.right)
-    if t is Product:
-        tl, tr = type(left), type(right)
-        if tl is Literal and tr is Literal:
-            return Literal(left.value * right.value)
-        if tl is Literal:
-            return _scale(right, left.value)
-        if tr is Literal:
-            return _scale(left, right.value)
-        return Product(left, right)
-    return Sum(left, right)
+    """The canonical form of ``e``: every scalar factor folded into a Term
+    coefficient, every transpose a flag on a Term.  The operators build
+    trees in this form already, so this only wraps a bare tensor or
+    scalar as a node.  Idempotent."""
+    return _as_node(e)
 
 
 # ---------------------------------------------------------------------------
 # result-kind inference
+#
+# On the statement path a kind is ``None`` for a scalar or an
+# ``(extents, covector)`` tuple: building a ResultKind per node would cost
+# more than the rest of inference.  ``infer_kind`` returns the public
+# objects.
 
 
-def _term_kind(n):
-    t = n.tensor
-    if t.rank == 1:
-        return ResultKind(t.extents, covector=n.trans)
-    if t.rank == 2 and n.trans:
-        return ResultKind((t.extents[1], t.extents[0]))
-    return ResultKind(t.extents)
+def _kind_str(k):
+    return repr(SCALAR if k is None else ResultKind(*k))
 
 
 def infer_kind(e):
-    """Result category of a (normalized or raw) expression.
+    """Result category of an expression: SCALAR or a ResultKind.
 
     Raises ShapeError naming both offending kinds when operands cannot
     combine.
     """
-    n = normalize(e)
-    return _infer(n)
+    k = _infer(_as_node(e))
+    return SCALAR if k is None else ResultKind(*k)
 
 
 def _infer(n):
     t = type(n)
-    if t is Literal:
-        return SCALAR
     if t is Term:
-        return _term_kind(n)
+        ext = n.tensor.extents
+        if not n.trans:
+            return ext, False
+        if len(ext) == 1:
+            return ext, True
+        return (ext[1], ext[0]), False
+    if t is Literal:
+        return None
     lk = _infer(n.left)
     rk = _infer(n.right)
     if t is Sum:
-        if lk != rk or (lk is SCALAR) != (rk is SCALAR):
-            raise ShapeError(f"cannot add {lk} and {rk}")
+        if lk != rk:
+            raise ShapeError(f"cannot add {_kind_str(lk)} and {_kind_str(rk)}")
         return lk
     # product
-    if lk is SCALAR:
+    if lk is None:
         return rk
-    if rk is SCALAR:
+    if rk is None:
         return lk
-    lr, rr = lk.rank, rk.rank
+    (le, lcov), (re, rcov) = lk, rk
+    lr, rr = len(le), len(re)
     if lr == 1 and rr == 1:
-        if lk.covector and not rk.covector:
-            if lk.extents != rk.extents:
-                raise ShapeError(f"inner product of {lk} and {rk}")
-            return SCALAR
-        if not lk.covector and rk.covector:
-            return ResultKind((lk.extents[0], rk.extents[0]))
+        if lcov and not rcov:
+            if le != re:
+                raise ShapeError(
+                    f"inner product of {_kind_str(lk)} and {_kind_str(rk)}")
+            return None
+        if not lcov and rcov:
+            return (le[0], re[0]), False
         raise ShapeError(
-            f"vector product of {lk} and {rk} needs exactly one transposed side"
+            f"vector product of {_kind_str(lk)} and {_kind_str(rk)} needs "
+            f"exactly one transposed side"
         )
-    if lr == 2 and rr == 1 and not rk.covector:
-        if lk.extents[1] != rk.extents[0]:
-            raise ShapeError(f"matrix-vector product of {lk} and {rk}")
-        return ResultKind((lk.extents[0],))
-    if lr == 2 and rr == 2 and not (lk.covector or rk.covector):
-        if lk.extents[1] != rk.extents[0]:
-            raise ShapeError(f"inner dimensions differ: {lk} and {rk}")
-        return ResultKind((lk.extents[0], rk.extents[1]))
-    raise ShapeError(f"unsupported product between {lk} and {rk}")
+    if lr == 2 and rr == 1 and not rcov:
+        if le[1] != re[0]:
+            raise ShapeError(
+                f"matrix-vector product of {_kind_str(lk)} and {_kind_str(rk)}")
+        return (le[0],), False
+    if lr == 2 and rr == 2:
+        if le[1] != re[0]:
+            raise ShapeError(
+                f"inner dimensions differ: {_kind_str(lk)} and {_kind_str(rk)}")
+        return (le[0], re[1]), False
+    raise ShapeError(
+        f"unsupported product between {_kind_str(lk)} and {_kind_str(rk)}")
 
 
 # ---------------------------------------------------------------------------
@@ -372,48 +394,36 @@ class LoweredOp:
                 f"trans=({self.trans_a}, {self.trans_b}))")
 
 
-def _flatten_sum(n, out):
-    if type(n) is Sum:
-        _flatten_sum(n.left, out)
-        _flatten_sum(n.right, out)
-    else:
-        out.append(n)
-
-
-def _contains_tensor(n, tensor, in_product=False):
-    """Does ``tensor``'s storage occur in ``n``?  Returns (found,
-    found_in_product).  Overlap counts, not only identity: two ``wrap``
-    views of one buffer alias each other, interleaved ones do not."""
+def _dest_use(n, dest):
+    """Where ``dest``'s storage occurs in ``n``: 0 nowhere, 1 only in
+    additive positions, 2 inside a product.  Overlap counts, not only
+    identity: two ``wrap`` views of one buffer alias each other,
+    interleaved ones do not.  Buffers that two tensors allocated
+    themselves cannot overlap, so the storage test is skipped for them."""
     t = type(n)
     if t is Term:
-        if n.tensor is tensor or np.shares_memory(n.tensor._data,
-                                                  tensor._data):
-            return True, in_product
-        return False, False
+        x = n.tensor
+        return 1 if x is dest or (
+            not (x.owns_storage and dest.owns_storage)
+            and np.shares_memory(x._data, dest._data)
+        ) else 0
     if t is Literal:
-        return False, False
-    f1, p1 = _contains_tensor(n.left, tensor, in_product or t is Product)
-    f2, p2 = _contains_tensor(n.right, tensor, in_product or t is Product)
-    return f1 or f2, p1 or p2
-
-
-def _check_no_dest_alias(n, dest):
-    found, in_product = _contains_tensor(n, dest)
-    if found and in_product:
-        raise AliasingError(
-            "destination appears as a multiplicand operand in this "
-            "expression; evaluate into a different tensor"
-        )
-    return found
+        return 0
+    if t is Product:
+        return 2 if _dest_use(n.left, dest) or _dest_use(n.right, dest) else 0
+    left = _dest_use(n.left, dest)
+    right = _dest_use(n.right, dest)
+    return left if left > right else right
 
 
 def _temporary(n, kind, ops):
     """A leaf for product factor ``n``: a fresh tensor of ``n``'s kind,
     filled by the ops appended to ``ops``.  Like ``evaluate``'s result, it
     starts zeroed and is accumulated into."""
-    tmp = Tensor(kind.rank, *kind.extents, dtype=_expr_dtype(n))
-    ops += _lower_sum(tmp, n, 1.0)
-    return Term(1.0, tmp, kind.covector)
+    extents, covector = kind
+    tmp = Tensor(len(extents), *extents, dtype=_expr_dtype(n))
+    _lower_sum(tmp, n, 1.0, ops)
+    return Term(1.0, tmp, covector)
 
 
 def _lower_product(n, dest, beta, ops):
@@ -425,15 +435,20 @@ def _lower_product(n, dest, beta, ops):
     (a zero-fill before it) or 1 (its own update).
     """
     l, r = n.left, n.right
-    lk = None if type(l) is Term else _infer(l)
-    rk = None if type(r) is Term else _infer(r)
-    if lk is SCALAR or rk is SCALAR:
-        return False
+    lk = rk = None  # the kinds of factors that are not leaves
+    if type(l) is not Term:
+        lk = _infer(l)
+        if lk is None:
+            return False
+    if type(r) is not Term:
+        rk = _infer(r)
+        if rk is None:
+            return False
     # n has passed kind inference, so the factor ranks admit one kernel
-    if (l.tensor.rank if lk is None else lk.rank) == 2:
-        rrank = r.tensor.rank if rk is None else rk.rank
+    if len(l.tensor.extents if lk is None else lk[0]) == 2:
+        rrank = len(r.tensor.extents if rk is None else rk[0])
         kernel = "gemv" if rrank == 1 else "gemm"
-    elif l.trans if lk is None else lk.covector:
+    elif l.trans if lk is None else lk[1]:
         kernel = "dot"
     elif beta == 0.0 or beta == 1.0:
         kernel = "ger"
@@ -448,17 +463,9 @@ def _lower_product(n, dest, beta, ops):
     if kernel == "ger":
         ops.append(LoweredOp("ger", operands, alpha=alpha, dest=dest,
                              pre_zero=beta == 0.0))
-    elif kernel != "dot" and beta != 1.0 \
-            and l.tensor.extents[0 if l.trans else 1] == 0:
-        # the kernels skip an empty contraction, but dest must still
-        # become beta*dest
-        prod = Product(l, r)
-        expr = prod if beta == 0.0 else Sum(prod, Term(beta, dest))
-        ops.append(LoweredOp("fallback", expr=expr, dest=dest))
     else:
-        ops.append(LoweredOp(kernel, operands, trans_a=l.trans,
-                             trans_b=r.trans, alpha=alpha, beta=beta,
-                             dest=dest))
+        ops.append(LoweredOp(kernel, operands, l.trans, r.trans, alpha, beta,
+                             dest))
     return True
 
 
@@ -469,68 +476,52 @@ def _lower_scalar(n):
     return [LoweredOp("fallback", expr=n)]
 
 
-def _lower_addend(dest, addend, beta, ops):
-    """Append the ops for ``dest <- addend + beta*dest``, beta 0 or 1.
-
-    A scaled leaf works on the flat column-major buffers, whatever its
-    rank; a transposed matrix has no such route.
-    """
-    if type(addend) is Term:
-        if not addend.trans or addend.tensor.rank == 1:
-            if beta == 0.0 and addend.coef == 1.0:
-                ops.append(LoweredOp("copy", (addend.tensor,), dest=dest))
-            else:
-                ops.append(LoweredOp("axpy", (addend.tensor,),
-                                     alpha=addend.coef, dest=dest,
-                                     pre_zero=beta == 0.0))
-            return
-    elif type(addend) is Product and _lower_product(addend, dest, beta, ops):
-        return
-    ops.append(LoweredOp("fallback", expr=addend, dest=dest,
-                         accumulate=beta != 0.0))
-
-
 def _lower_into(dest, mode, n):
     beta = 1.0 if mode == "accumulate" else 0.0
-    # dest inside a product is an error; in an additive position it is
-    # either the beta of the one kernel call for the other addend or
-    # evaluated alias-safe
-    if _check_no_dest_alias(n, dest):
-        addends = []
-        _flatten_sum(n, addends)
-        if len(addends) == 2:
-            for scaled, prod in (addends, addends[::-1]):
-                ops = []
-                if (type(scaled) is Term and scaled.tensor is dest
-                        and not scaled.trans and type(prod) is Product
-                        and _lower_product(prod, dest, scaled.coef + beta,
-                                           ops)):
-                    return ops
-        return [LoweredOp("fallback", expr=n, dest=dest,
-                          accumulate=mode == "accumulate")]
-    return _lower_sum(dest, n, beta)
-
-
-def _lower_sum(dest, n, beta):
-    """The ops for ``dest <- n + beta*dest``, beta 0 or 1, where ``dest``'s
-    storage does not occur in ``n``: one addend after the other."""
-    addends = []
-    _flatten_sum(n, addends)
-    ops = []
-    for addend in addends:
-        _lower_addend(dest, addend, beta, ops)
-        beta = 1.0
-    return ops
-
-
-def _check_dest_kind(dest, kind):
-    if kind is SCALAR:
-        raise ShapeError("cannot write a scalar expression into a tensor")
-    if kind.extents != dest.extents:
-        raise ShapeError(
-            f"expression kind {kind} does not match destination extents "
-            f"{dest.extents}"
+    use = _dest_use(n, dest)
+    if use == 0:
+        return _lower_sum(dest, n, beta, [])
+    if use == 2:
+        raise AliasingError(
+            "destination appears as a multiplicand operand in this "
+            "expression; evaluate into a different tensor"
         )
+    # dest in an additive position: the beta of the one kernel call for
+    # the other addend, or evaluated alias-safe
+    if type(n) is Sum:
+        for scaled, prod in ((n.left, n.right), (n.right, n.left)):
+            ops = []
+            if (type(scaled) is Term and scaled.tensor is dest
+                    and not scaled.trans and type(prod) is Product
+                    and _lower_product(prod, dest, scaled.coef + beta, ops)):
+                return ops
+    return [LoweredOp("fallback", expr=n, dest=dest,
+                      accumulate=mode == "accumulate")]
+
+
+def _lower_sum(dest, n, beta, ops):
+    """Append to ``ops`` the ops for ``dest <- n + beta*dest``, beta 0 or
+    1, where ``dest``'s storage does not occur in ``n``: one addend after
+    the other, the first with ``beta``, the rest accumulating.  A scaled
+    leaf works on the flat column-major buffers, whatever its rank; a
+    transposed matrix has no such route.  Returns ``ops``."""
+    t = type(n)
+    if t is Sum:
+        _lower_sum(dest, n.left, beta, ops)
+        return _lower_sum(dest, n.right, 1.0, ops)
+    if t is Term:
+        if not n.trans or len(n.tensor.extents) == 1:
+            if beta == 0.0 and n.coef == 1.0:
+                ops.append(LoweredOp("copy", (n.tensor,), dest=dest))
+            else:
+                ops.append(LoweredOp("axpy", (n.tensor,), alpha=n.coef,
+                                     dest=dest, pre_zero=beta == 0.0))
+            return ops
+    elif t is Product and _lower_product(n, dest, beta, ops):
+        return ops
+    ops.append(LoweredOp("fallback", expr=n, dest=dest,
+                         accumulate=beta != 0.0))
+    return ops
 
 
 def lower(e, dest=None, mode="assign"):
@@ -544,17 +535,21 @@ def lower(e, dest=None, mode="assign"):
     parenthesization, into a fresh temporary tensor allocated here.  What
     has no kernel route becomes a ``fallback`` op.
     """
-    if mode not in ("assign", "accumulate"):
+    if mode != "assign" and mode != "accumulate":
         raise ValueError(f"mode must be 'assign' or 'accumulate', not {mode!r}")
-    n = normalize(e)
+    n = _as_node(e)
     kind = _infer(n)
-    if kind is SCALAR:
+    if kind is None:
         if dest is not None:
             raise ShapeError("scalar expression cannot target a tensor destination")
         return _lower_scalar(n)
     if dest is None:
         raise ShapeError("tensor-kind expression needs a destination to lower into")
-    _check_dest_kind(dest, kind)
+    if kind[0] != dest.extents:
+        raise ShapeError(
+            f"expression kind {_kind_str(kind)} does not match destination "
+            f"extents {dest.extents}"
+        )
     return _lower_into(dest, mode, n)
 
 
@@ -681,52 +676,30 @@ def _expr_dtype(n):
         return n.tensor.dtype
     if t is Literal:
         return None
-    if t is Transposed:
-        return _expr_dtype(n.child)
     return _expr_dtype(n.left) or _expr_dtype(n.right)
 
 
 def evaluate(e):
     """Force an expression: returns a float for scalar kinds, otherwise a
     freshly allocated tensor (zero-initialized, then accumulated into)."""
-    # Inner products go straight to the kernel: normalization, kind
-    # inference, and the general lowering walk each cost on the order of a
-    # microsecond, which at BLAS-1 sizes is a measurable fraction of the
-    # kernel itself.  The common spelling transpose(x)*y is matched on the
-    # raw tree; any scaled or nested form still matches after normalizing.
+    # An inner product, scaled or not, goes straight to the kernel: kind
+    # inference and the lowering walk each cost on the order of a
+    # microsecond, a measurable fraction of a dot at BLAS-1 sizes.
     if type(e) is Product:
         l, r = e.left, e.right
-        if (
-            type(l) is Transposed
-            and type(l.child) is Term
-            and type(r) is Term
-            and not l.child.trans
-            and not r.trans
-            and l.child.coef == 1.0
-            and r.coef == 1.0
-            and l.child.tensor.rank == 1
-            and r.tensor.rank == 1
-        ):
-            return kernels.dot(l.child.tensor, r.tensor)
-    n = normalize(e)
-    if (
-        type(n) is Product
-        and type(n.left) is Term
-        and type(n.right) is Term
-        and n.left.trans
-        and not n.right.trans
-        and n.left.tensor.rank == 1
-        and n.right.tensor.rank == 1
-    ):
-        alpha = n.left.coef * n.right.coef
-        value = kernels.dot(n.left.tensor, n.right.tensor)
-        return value if alpha == 1.0 else alpha * value
+        if (type(l) is Term and type(r) is Term and l.trans and not r.trans
+                and len(l.tensor.extents) == 1
+                and len(r.tensor.extents) == 1):
+            alpha = l.coef * r.coef
+            value = kernels.dot(l.tensor, r.tensor)
+            return value if alpha == 1.0 else alpha * value
+    n = _as_node(e)
     kind = _infer(n)
-    if kind is SCALAR:
+    if kind is None:
         return _execute(_lower_scalar(n))
-    dtype = _expr_dtype(n) or np.float64
-    dest = Tensor(kind.rank, *kind.extents, dtype=dtype)
-    _execute(_lower_sum(dest, n, 1.0))
+    extents = kind[0]
+    dest = Tensor(len(extents), *extents, dtype=_expr_dtype(n) or np.float64)
+    _execute(_lower_sum(dest, n, 1.0, []))
     return dest
 
 
@@ -747,11 +720,18 @@ def accumulate(dest, e):
 
 
 def _tensor_mul(self, other):
-    return Product(Term(1.0, self), _as_node(other))
+    t = type(other)
+    if t is Tensor:
+        return Product(Term(1.0, self), Term(1.0, other))
+    if t is float:
+        return Term(other, self)
+    return _product(Term(1.0, self), _as_node(other))
 
 
 def _tensor_rmul(self, other):
-    return Product(_as_node(other), Term(1.0, self))
+    if type(other) is float:
+        return Term(other, self)
+    return _product(_as_node(other), Term(1.0, self))
 
 
 def _tensor_add(self, other):

@@ -12,8 +12,10 @@ backend.  Two backends ship in-tree:
 * ``external-blas`` -- thin binding to an optimized BLAS through
   ``scipy.linalg.blas``.  Registered only when scipy imports cleanly.
 
-All kernels treat operands with any zero extent as no-ops: no element is
-written, the call is still logged.
+Operands with a zero extent make a kernel a no-op (no element is
+written, the call is still logged), except that gemv and gemm with an
+empty contraction still apply beta to the destination, as BLAS does:
+zero for beta 0, unchanged for beta 1, scaled otherwise.
 """
 
 from __future__ import annotations
@@ -238,7 +240,8 @@ class ScipyBlasBackend:
 
     Leading dimensions come for free: all operand views are
     Fortran-contiguous, and transposition is expressed through the BLAS
-    trans flags, never through copies.
+    trans flags, never through copies.  The wrappers take their optional
+    arguments by position, which skips f2py's keyword parsing.
     """
 
     name = "external-blas"
@@ -247,21 +250,21 @@ class ScipyBlasBackend:
         from scipy.linalg import blas as _blas
 
         self._blas = _blas
-        self._cache: dict = {}
+        self._cache: dict = {}  # dtype -> {kernel name: BLAS wrapper}
 
     def _f(self, name, dtype):
-        key = (name, dtype.char)
-        f = self._cache.get(key)
-        if f is None:
-            f = self._blas.get_blas_funcs(name, dtype=dtype)
-            self._cache[key] = f
-        return f
+        funcs = self._cache.get(dtype)
+        if funcs is None:
+            funcs = self._cache[dtype] = {
+                k: self._blas.get_blas_funcs(k, dtype=dtype)
+                for k in ("axpy", "dot", "nrm2", "gemv", "ger", "gemm")
+            }
+        return funcs[name]
 
-    def copy(self, x, dest):
-        dest[...] = x
+    copy = NaiveBackend.copy
 
     def axpy(self, alpha, x, y):
-        res = self._f("axpy", x.dtype)(x, y, a=alpha)
+        res = self._f("axpy", x.dtype)(x, y, None, alpha)
         if res is not y:
             y[...] = res
 
@@ -272,22 +275,22 @@ class ScipyBlasBackend:
         return float(self._f("nrm2", x.dtype)(x))
 
     def gemv(self, trans, alpha, a, x, beta, y):
-        res = self._f("gemv", a.dtype)(
-            alpha, a, x, beta=beta, y=y, trans=int(trans), overwrite_y=1
-        )
+        # (alpha, a, x, beta, y, offx, incx, offy, incy, trans, overwrite_y)
+        res = self._f("gemv", a.dtype)(alpha, a, x, beta, y, 0, 1, 0, 1,
+                                       int(trans), 1)
         if res is not y:
             y[...] = res
 
     def ger(self, alpha, x, y, a):
-        res = self._f("ger", a.dtype)(alpha, x, y, a=a, overwrite_a=1)
+        # (alpha, x, y, incx, incy, a, overwrite_x, overwrite_y, overwrite_a)
+        res = self._f("ger", a.dtype)(alpha, x, y, 1, 1, a, 0, 0, 1)
         if res is not a:
             a[...] = res
 
     def gemm(self, trans_a, trans_b, alpha, a, b, beta, c):
-        res = self._f("gemm", a.dtype)(
-            alpha, a, b, beta=beta, c=c,
-            trans_a=int(trans_a), trans_b=int(trans_b), overwrite_c=1,
-        )
+        # (alpha, a, b, beta, c, trans_a, trans_b, overwrite_c)
+        res = self._f("gemm", a.dtype)(alpha, a, b, beta, c, int(trans_a),
+                                       int(trans_b), 1)
         if res is not c:
             c[...] = res
 
@@ -329,11 +332,26 @@ def current_backend():
 # dispatch layer: shape checks + logging + write accounting
 
 
-def _check_same_dtype(*tensors):
-    dt = tensors[0].dtype
-    for t in tensors[1:]:
-        if t.dtype != dt:
+def _check_same_dtype(x, y, z=None):
+    # identity first: a tensor holds float32 or float64, and numpy shares
+    # one dtype object per native type
+    dt = x._data.dtype
+    for t in (y, z) if z is not None else (y,):
+        if t._data.dtype is not dt and t._data.dtype != dt:
             raise TypeError(f"mixed element types: {dt} vs {t.dtype}")
+
+
+def _empty_contraction(view, beta, size) -> None:
+    """view <- beta*view, as BLAS does when the inner dimension is zero:
+    a zero fill for beta 0 (the old values are not read), no write for
+    beta 1."""
+    if beta == 1.0:
+        return
+    if beta == 0.0:
+        view.fill(0.0)
+    else:
+        view *= beta
+    _active_log.element_writes += size
 
 
 def copy(x, dest) -> None:
@@ -342,10 +360,11 @@ def copy(x, dest) -> None:
     if x.extents != dest.extents:
         raise ShapeError(f"copy: shape mismatch {x.extents} vs {dest.extents}")
     _active_log.record("copy", (x.extents, dest.extents))
-    if x.size == 0:
+    size = x._data.shape[0]
+    if size == 0:
         return
     _current.copy(x.column_view(), dest.column_view())
-    _active_log.element_writes += dest.size
+    _active_log.element_writes += size
 
 
 def axpy(alpha, x, y) -> None:
@@ -358,21 +377,23 @@ def axpy(alpha, x, y) -> None:
     if x.extents != y.extents:
         raise ShapeError(f"axpy: shape mismatch {x.extents} vs {y.extents}")
     _active_log.record("axpy", (x.extents, y.extents), alpha=alpha)
-    if x.size == 0:
+    size = x._data.shape[0]
+    if size == 0:
         return
     _current.axpy(alpha, x._data, y._data)
-    _active_log.element_writes += y.size
+    _active_log.element_writes += size
 
 
 def dot(x, y) -> float:
     """Inner product of two vectors."""
     _check_same_dtype(x, y)
-    if x.rank != 1 or y.rank != 1 or x.extents != y.extents:
-        raise ShapeError(f"dot: incompatible vectors {x.extents} vs {y.extents}")
-    _active_log.record("dot", (x.extents, y.extents))
-    if x.size == 0:
+    xe = x.extents
+    if len(xe) != 1 or xe != y.extents:
+        raise ShapeError(f"dot: incompatible vectors {xe} vs {y.extents}")
+    _active_log.record("dot", (xe, xe))
+    if xe[0] == 0:
         return 0.0
-    return _current.dot(x.column_view(), y.column_view())
+    return _current.dot(x._data, y._data)
 
 
 def nrm2(x) -> float:
@@ -386,66 +407,69 @@ def nrm2(x) -> float:
 
 
 def gemv(trans, alpha, a, x, beta, y) -> None:
-    """y <- alpha*op(a)*x + beta*y."""
+    """y <- alpha*op(a)*x + beta*y.  An empty contraction leaves
+    beta*y."""
     _check_same_dtype(a, x, y)
-    if a.rank != 2 or x.rank != 1 or y.rank != 1:
+    ae, xe, ye = a.extents, x.extents, y.extents
+    if len(ae) != 2 or len(xe) != 1 or len(ye) != 1:
         raise ShapeError("gemv: expected matrix, vector, vector")
-    rows, cols = a.extents
-    if trans:
-        rows, cols = cols, rows
-    if cols != x.extents[0] or rows != y.extents[0]:
+    rows, cols = (ae[1], ae[0]) if trans else ae
+    if cols != xe[0] or rows != ye[0]:
         raise ShapeError(
-            f"gemv: op(A) is {rows}x{cols}, x has length {x.extents[0]}, "
-            f"y has length {y.extents[0]}"
+            f"gemv: op(A) is {rows}x{cols}, x has length {xe[0]}, "
+            f"y has length {ye[0]}"
         )
-    _active_log.record(
-        "gemv", (a.extents, x.extents, y.extents), alpha=alpha, beta=beta,
-        trans=(trans,),
-    )
-    if a.size == 0 or x.size == 0 or y.size == 0:
+    _active_log.record("gemv", (ae, xe, ye), alpha=alpha, beta=beta,
+                       trans=(trans,))
+    if rows == 0:
         return
-    _current.gemv(trans, alpha, a.column_view(), x.column_view(), beta,
-                  y.column_view())
-    _active_log.element_writes += y.size
+    if cols == 0:
+        _empty_contraction(y._data, beta, rows)
+        return
+    _current.gemv(trans, alpha, a.column_view(), x._data, beta, y._data)
+    _active_log.element_writes += rows
 
 
 def ger(alpha, x, y, a) -> None:
     """a <- alpha * x yT + a (rank-1 update)."""
     _check_same_dtype(x, y, a)
-    if x.rank != 1 or y.rank != 1 or a.rank != 2:
+    xe, ye, ae = x.extents, y.extents, a.extents
+    if len(xe) != 1 or len(ye) != 1 or len(ae) != 2:
         raise ShapeError("ger: expected vector, vector, matrix")
-    if a.extents != (x.extents[0], y.extents[0]):
+    if ae != (xe[0], ye[0]):
         raise ShapeError(
-            f"ger: A is {a.extents}, outer product is "
-            f"({x.extents[0]}, {y.extents[0]})"
+            f"ger: A is {ae}, outer product is ({xe[0]}, {ye[0]})"
         )
-    _active_log.record("ger", (x.extents, y.extents, a.extents), alpha=alpha)
-    if a.size == 0:
+    _active_log.record("ger", (xe, ye, ae), alpha=alpha)
+    size = a._data.shape[0]
+    if size == 0:
         return
-    _current.ger(alpha, x.column_view(), y.column_view(), a.column_view())
-    _active_log.element_writes += a.size
+    _current.ger(alpha, x._data, y._data, a.column_view())
+    _active_log.element_writes += size
 
 
 def gemm(trans_a, trans_b, alpha, a, b, beta, c) -> None:
-    """c <- alpha*op(a)*op(b) + beta*c."""
+    """c <- alpha*op(a)*op(b) + beta*c.  An empty contraction leaves
+    beta*c; alpha 0 with beta 1 writes nothing."""
     _check_same_dtype(a, b, c)
-    if a.rank != 2 or b.rank != 2 or c.rank != 2:
+    ae, be, ce = a.extents, b.extents, c.extents
+    if len(ae) != 2 or len(be) != 2 or len(ce) != 2:
         raise ShapeError("gemm: expected three matrices")
-    m, ka = (a.extents[1], a.extents[0]) if trans_a else a.extents
-    kb, n = (b.extents[1], b.extents[0]) if trans_b else b.extents
-    if ka != kb or c.extents != (m, n):
+    m, ka = (ae[1], ae[0]) if trans_a else ae
+    kb, n = (be[1], be[0]) if trans_b else be
+    if ka != kb or ce != (m, n):
         raise ShapeError(
-            f"gemm: op(A) is {m}x{ka}, op(B) is {kb}x{n}, C is {c.extents}"
+            f"gemm: op(A) is {m}x{ka}, op(B) is {kb}x{n}, C is {ce}"
         )
-    _active_log.record(
-        "gemm", (a.extents, b.extents, c.extents), alpha=alpha, beta=beta,
-        trans=(trans_a, trans_b),
-    )
-    # degenerate cases: zero dimension or alpha=0, beta=1 write nothing
-    if m == 0 or n == 0 or ka == 0:
+    _active_log.record("gemm", (ae, be, ce), alpha=alpha, beta=beta,
+                       trans=(trans_a, trans_b))
+    if m == 0 or n == 0:
+        return
+    if ka == 0:
+        _empty_contraction(c._data, beta, m * n)
         return
     if alpha == 0.0 and beta == 1.0:
         return
     _current.gemm(trans_a, trans_b, alpha, a.column_view(), b.column_view(),
                   beta, c.column_view())
-    _active_log.element_writes += c.size
+    _active_log.element_writes += m * n

@@ -25,7 +25,17 @@ from .errors import ArityError, BoundsError, DomainError, RankError
 __all__ = ["Tensor", "matrix", "vector", "format_tensor"]
 
 
+_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
+
+
 def _resolve_extents(rank, extents):
+    # exact ints, one per dimension: the common case, checked cheaply
+    if type(rank) is int and len(extents) == rank > 0:
+        for e in extents:
+            if type(e) is not int or e < 0:
+                break
+        else:
+            return extents
     if not isinstance(rank, Integral) or rank < 1:
         raise DomainError(f"rank must be a positive integer, got {rank!r}")
     if len(extents) == 0:
@@ -42,30 +52,47 @@ def _resolve_extents(rank, extents):
     return tuple(int(e) for e in full)
 
 
+def _real_dtype(dtype):
+    """``dtype`` if it names float32 or float64; DomainError otherwise."""
+    if dtype is np.float64 or dtype is _F64 or dtype is np.float32 \
+            or dtype is _F32:
+        return dtype
+    try:
+        dt = np.dtype(dtype)
+    except TypeError:
+        raise DomainError(f"{dtype!r} is not an element type") from None
+    if dt != _F64 and dt != _F32:
+        raise DomainError(f"element type {dt} is not float32 or float64")
+    return dt
+
+
 class Tensor:
-    """Dense rank-``k`` tensor over a real floating element type.
+    """Dense rank-``k`` tensor over float32 or float64 elements.
 
     ``fill`` may be a scalar (uniform fill) or a callable taking one
     index per dimension (element generator).  Fewer extents than the
     rank replicate the last given extent, so ``Tensor(2, 3)`` is a 3x3
-    matrix of zeros.
+    matrix of zeros.  Any other ``dtype`` raises DomainError.
     """
 
     __slots__ = ("extents", "owns_storage", "_data", "_view")
 
     def __init__(self, rank, *extents, fill=0.0, dtype=np.float64):
         self.extents = _resolve_extents(rank, extents)
+        dtype = _real_dtype(dtype)
         size = math.prod(self.extents)
         self.owns_storage = True
         self._view = None
-        if callable(fill):
+        # np.zeros costs a third of np.full; a -0.0 fill keeps its sign
+        if type(fill) is float and fill == 0.0 and math.copysign(1.0, fill) > 0:
+            self._data = np.zeros(size, dtype=dtype)
+        elif callable(fill):
             self._data = np.empty(size, dtype=dtype)
-            kernels.log().allocations += 1
             for idx in np.ndindex(self.extents):
                 self._data[self.offset_of(*idx)] = fill(*idx)
         else:
             self._data = np.full(size, fill, dtype=dtype)
-            kernels.log().allocations += 1
+        kernels.log().allocations += 1
 
     # -- alternate constructors -------------------------------------------
 
@@ -73,13 +100,16 @@ class Tensor:
     def wrap(cls, extents, buffer) -> "Tensor":
         """View externally owned storage in place; never copies or frees it.
 
-        ``buffer`` must be a writable one-dimensional array at least as
-        long as the product of ``extents``; writes through the tensor
-        are visible in the buffer and vice versa.
+        ``buffer`` must be a writable one-dimensional float32 or float64
+        array at least as long as the product of ``extents``; writes
+        through the tensor are visible in the buffer and vice versa.
         """
         buffer = np.asarray(buffer)
         if buffer.ndim != 1:
             raise DomainError("wrap expects a one-dimensional buffer")
+        _real_dtype(buffer.dtype)
+        if not buffer.flags.writeable:
+            raise DomainError("wrap expects a writable buffer")
         t = cls.__new__(cls)
         t.extents = _resolve_extents(len(extents), tuple(extents))
         size = math.prod(t.extents)
@@ -101,6 +131,7 @@ class Tensor:
         Ragged nesting is rejected: silently truncating siblings of
         unequal length would corrupt data.
         """
+        dtype = _real_dtype(dtype)
         extents = []
         level = nested
         while isinstance(level, (list, tuple)):

@@ -1,6 +1,6 @@
 """Independent evaluator used as the test oracle.
 
-Walks the raw (or normalized) expression tree and computes results with
+Walks the (canonical) expression tree and computes results with
 numpy's own dense operations -- a route entirely separate from the
 library's normalization, pattern lowering, and backends.  A transposed
 vector is carried as an explicit ``("cov", values)`` pair so that the
@@ -11,7 +11,7 @@ would print as one row.
 
 import numpy as np
 
-from lazyblas.expr import Literal, Product, Sum, Term, Transposed
+from lazyblas.expr import Literal, Sum, Term
 from lazyblas.tensor import Tensor
 
 
@@ -43,13 +43,6 @@ def _walk(n):
             return ("cov", n.coef * base) if base.ndim == 1 \
                 else n.coef * base.T
         return n.coef * base
-    if t is Transposed:
-        v = _walk(n.child)
-        if _is_cov(v):
-            return v[1]
-        if np.isscalar(v):
-            raise TypeError("oracle: transpose of a scalar")
-        return ("cov", v) if v.ndim == 1 else v.T
     left = _walk(n.left)
     right = _walk(n.right)
     if t is Sum:

@@ -109,6 +109,30 @@ def test_transpose_rank3_rejected(rng):
         normalize(transpose(leaf(t)))
 
 
+def test_transpose_of_scaled_leaf_is_a_term_as_built(rng):
+    a = rand_tensor(rng, 2, 3)
+    e = transpose(2.0 * a)
+    assert type(e) is Term and e.trans and e.coef == 2.0 and e.tensor is a
+    assert normalize(e) is e
+    with pytest.raises(UnsupportedOperationError):
+        transpose(a * transpose(a))  # only leaves transpose
+
+
+def test_operators_fold_scalars_bottom_up(rng):
+    a, b = rand_tensor(rng, 3, 3), rand_tensor(rng, 3, 3)
+    s, t = 0.1, 0.7
+    e = s * transpose(a) * t * b  # ((s*aT)*t)*b
+    assert type(e) is Product and type(e.right) is Term
+    assert e.left.trans and e.left.coef == (s * 1.0) * t
+    e = 2.0 * (a * b + 3 * a)  # a sum scales every addend
+    assert type(e) is Sum and type(e.left) is Product
+    assert e.left.left.coef == 2.0 and e.left.right.coef == 1.0
+    assert e.right.coef == 2.0 * 3.0
+    e = (a * b) * 0.5  # a product scales its left factor
+    assert e.left.coef == 0.5 and e.right.coef == 1.0
+    assert type(lit(2.0) * lit(3.0)) is Literal
+
+
 # -- kind inference -----------------------------------------------------------
 
 
@@ -260,6 +284,19 @@ def test_overlapping_wraps_as_multiplicands_rejected(rng):
         assign(y, b * x)
 
 
+def test_wrap_of_owned_storage_is_an_alias(rng):
+    # the storage test is skipped only when both tensors own their buffers
+    a, b = rand_tensor(rng, 4, 4), rand_tensor(rng, 4, 4)
+    w = Tensor.wrap(a.extents, a._data)
+    with pytest.raises(AliasingError):
+        assign(a, w * b)
+    with pytest.raises(AliasingError):
+        assign(w, b * a)
+    x = rand_tensor(rng, 4)
+    with pytest.raises(AliasingError):
+        assign(Tensor.wrap((4,), x._data), a * x)
+
+
 def test_additive_overlap_evaluates_alias_safe(rng):
     buf = rng.random(9)
     d = Tensor.wrap((3, 3), buf)
@@ -340,6 +377,18 @@ def test_evaluate_8x8_products_vs_oracle(rng):
 def test_evaluate_dot_value():
     x = vector(8, fill=1.0)
     assert evaluate(transpose(x) * x) == 8.0
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_scaled_dot_spellings_are_one_dot(rng, backend):
+    kernels.select_backend(backend)
+    x, y = rand_tensor(rng, 16), rand_tensor(rng, 16)
+    want = 2.0 * (x.to_numpy() @ y.to_numpy())
+    for e in (2.0 * transpose(x) * y, transpose(x) * (2.0 * y),
+              (transpose(x) * y) * 2.0, transpose(2.0 * x) * y):
+        reset_log()
+        assert evaluate(e) == pytest.approx(want, rel=1e-14)
+        assert [r.kernel for r in log().records] == ["dot"]
 
 
 def test_accumulate_into_zeros_equals_source(rng):

@@ -268,15 +268,26 @@ def test_gemm_paper_constants_vs_triple_loop(rng):
     np.testing.assert_allclose(c.to_numpy(), expect, rtol=1e-12)
 
 
-def test_gemm_zero_dimension_no_writes(rng):
-    a = Tensor(2, 3, 0)
-    b = Tensor(2, 0, 4)
-    c = rand_tensor(rng, 3, 4)
-    before = c.to_numpy()
-    reset_log()
-    kernels.gemm(False, False, 1.0, a, b, 2.0, c)
-    assert log().element_writes == 0
-    np.testing.assert_array_equal(c.to_numpy(), before)
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_gemm_and_gemv_empty_contraction_apply_beta(rng, backend):
+    # as BLAS: C <- beta*C; beta 0 zero-fills without reading C, beta 1
+    # writes nothing
+    kernels.select_backend(backend)
+    a, b, x = Tensor(2, 3, 0), Tensor(2, 0, 4), Tensor(1, 0)
+    for beta in (2.0, 0.0, 1.0):
+        c, y = rand_tensor(rng, 3, 4), rand_tensor(rng, 3)
+        if beta == 0.0:
+            c.column_view()[...] = np.nan
+            y.column_view()[...] = np.nan
+        want_c, want_y = beta * c.to_numpy(), beta * y.to_numpy()
+        if beta == 0.0:
+            want_c[...], want_y[...] = 0.0, 0.0
+        reset_log()
+        kernels.gemm(False, False, 1.0, a, b, beta, c)
+        kernels.gemv(False, 1.0, a, x, beta, y)
+        assert log().element_writes == (0 if beta == 1.0 else 12 + 3)
+        np.testing.assert_array_equal(c.to_numpy(), want_c)
+        np.testing.assert_array_equal(y.to_numpy(), want_y)
 
 
 def test_gemm_alpha0_beta1_bit_unchanged(rng):

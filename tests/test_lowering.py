@@ -93,15 +93,14 @@ def kernel_sequence():
 
 # -- product chains ----------------------------------------------------------------
 
-# form -> (kernels in order, which of the extents (m, k, p, n) the last
-# product contracts over); every form needs exactly one temporary
+# form -> kernels in order; every form needs exactly one temporary
 CHAINS = {
-    "(AB)C": (["gemm", "gemm"], 2),
-    "A(BC)": (["gemm", "gemm"], 1),
-    "(AB)x": (["gemm", "gemv"], 2),
-    "A(Bx)": (["gemv", "gemv"], 1),
-    "xT(Ay)": (["gemv", "dot"], None),
-    "A(B+cC)": (["axpy", "axpy", "gemm"], 1),
+    "(AB)C": ["gemm", "gemm"],
+    "A(BC)": ["gemm", "gemm"],
+    "(AB)x": ["gemm", "gemv"],
+    "A(Bx)": ["gemv", "gemv"],
+    "xT(Ay)": ["gemv", "dot"],
+    "A(B+cC)": ["axpy", "axpy", "gemm"],
 }
 
 
@@ -135,11 +134,8 @@ def test_chains_lower_to_kernels_through_one_temporary(
     dest = ops(*extents) if extents else None
     got, want, temps = run_statement(mode, e, dest, dtype)
     np.testing.assert_array_equal(got, want)
-    expected, inner = CHAINS[form]
-    if mode == "assign" and dims[inner] == 0:
-        # an empty contraction still zeroes dest, which the kernels skip
-        expected = expected[:-1] + ["fallback"]
-    assert kernel_sequence() == expected
+    # an empty contraction is still one kernel call: it zeroes dest
+    assert kernel_sequence() == CHAINS[form]
     assert temps == 1
 
 
@@ -168,14 +164,11 @@ def test_beta_dest_in_either_position_is_the_kernel_beta(
     mode = "accumulate" if accumulating else "assign"
     got, want, temps = run_statement(mode, e, dest, dtype)
     np.testing.assert_array_equal(got, want)
+    # with k = 0 too: the kernel itself leaves beta*dest
     last = "gemv" if matvec else "gemm"
-    if k == 0 and beta + accumulating != 1.0:
-        # an empty contraction leaves beta*dest, which the kernels skip
-        last = "fallback"
     assert kernel_sequence() == (["gemm"] if nested else []) + [last]
     assert temps == nested
-    if last != "fallback":
-        assert log().records[-1].beta == beta + accumulating
+    assert log().records[-1].beta == beta + accumulating
 
 
 # -- scaled sums of any rank ------------------------------------------------------------
@@ -199,3 +192,36 @@ def test_scaled_sums_of_any_rank_lower_to_copy_and_axpy(
     first = "copy" if mode == "assign" and coefs[0] == 1.0 else "axpy"
     assert kernel_sequence() == [first] + ["axpy"] * (len(coefs) - 1)
     assert temps == 0
+
+
+# -- assign never reads the destination -------------------------------------------
+
+
+def _nan_routes(ops):
+    """(name, expression, destination, expected kernels) per assign route.
+    Beta is 0 on every route, so NaNs in the destination must not reach
+    the result."""
+    a, b = ops(3, 4), ops(4, 2)
+    x, y, z = ops(4), ops(3), ops(4)
+    return [
+        ("gemm", 0.5 * a * b, ops(3, 2), ["gemm"]),
+        ("gemv", 0.5 * a * x, ops(3), ["gemv"]),
+        ("ger", 0.5 * y * transpose(x), ops(3, 4), ["ger"]),
+        ("copy", z, ops(4), ["copy"]),
+        ("axpy", 2.0 * z, ops(4), ["axpy"]),
+        ("sum", z + 2.0 * x, ops(4), ["copy", "axpy"]),
+        ("chain", a * b * transpose(b), ops(3, 4), ["gemm", "gemm"]),
+        ("empty-gemm", ops(3, 0) * ops(0, 2), ops(3, 2), ["gemm"]),
+        ("empty-gemv", ops(3, 0) * ops(0), ops(3), ["gemv"]),
+    ]
+
+
+@combos
+def test_assign_into_nan_destination_is_finite(backend, dtype):
+    kernels.select_backend(backend)
+    for name, e, dest, expected in _nan_routes(Operands(7, dtype)):
+        dest.column_view()[...] = np.nan
+        got, want, _ = run_statement("assign", e, dest, dtype)
+        assert np.isfinite(got).all(), name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+        assert kernel_sequence() == expected, name

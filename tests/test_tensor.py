@@ -397,3 +397,45 @@ def test_float32_variant():
     t = Tensor(2, 3, fill=1.0, dtype=np.float32)
     assert t.dtype == np.float32
     assert t.get(2, 2) == 1.0
+
+
+# -- input domain: real float32/float64, writable --------------------------------
+
+NOT_REAL = [np.int64, np.float16, np.complex128, "int32", bool]
+
+
+@pytest.mark.parametrize("dtype", NOT_REAL,
+                         ids=["int64", "float16", "complex128", "int32", "bool"])
+def test_constructors_reject_other_element_types(dtype):
+    with pytest.raises(DomainError):
+        Tensor(2, 3, dtype=dtype)
+    with pytest.raises(DomainError):
+        Tensor.from_nested([[1, 2], [3, 4]], dtype=dtype)
+    with pytest.raises(DomainError):
+        Tensor.wrap((2, 3), np.zeros(6, dtype=dtype))
+
+
+def test_constructors_reject_a_non_dtype():
+    with pytest.raises(DomainError):
+        Tensor(1, 3, dtype="no such type")
+
+
+def test_wrap_rejects_read_only_buffer():
+    buf = np.zeros(6)
+    buf.flags.writeable = False
+    with pytest.raises(DomainError):
+        Tensor.wrap((2, 3), buf)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, "float64", np.dtype("f4"), "d"],
+                         ids=["float32", "float64-name", "f4-dtype", "d-code"])
+def test_real_dtype_spellings_accepted(dtype):
+    assert Tensor(1, 2, dtype=dtype).dtype == np.dtype(dtype)
+    assert Tensor.from_nested([1.0, 2.0], dtype=dtype).dtype == np.dtype(dtype)
+    assert Tensor.wrap((2,), np.zeros(2, dtype=dtype)).dtype == np.dtype(dtype)
+
+
+def test_zero_fill_keeps_negative_zero():
+    t = Tensor(1, 3, fill=-0.0)
+    assert all(np.signbit(t.column_view()))
+    assert not any(np.signbit(Tensor(1, 3).column_view()))

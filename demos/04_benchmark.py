@@ -10,6 +10,9 @@ script; run e.g.
 Run with:  python3 demos/04_benchmark.py
 """
 
+import os
+import tempfile
+
 from lazyblas import kernels
 from lazyblas.bench import BenchSpec, emit_csv, report_overhead, run
 
@@ -26,5 +29,9 @@ for (op, n), ratio in report_overhead(records).items():
     d = by_key[(n, "direct")]
     print(f"{n:>6} {e.mean_us:>15.1f} {d.mean_us:>12.1f} {ratio:>8.3f}")
 
-emit_csv(records, "/tmp/gemm_demo.csv")
-print("\nCSV written to /tmp/gemm_demo.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "gemm_demo.csv")
+    emit_csv(records, path)
+    print(f"\nCSV written to {path} (a directory of this run's own):")
+    with open(path) as f:
+        print(f.read(), end="")

@@ -119,36 +119,42 @@ def _statement(op, operands, variant):
 
 
 def run(spec: BenchSpec) -> list:
-    """Time every (size, variant) pair; returns one record per pair."""
+    """Time every (size, variant) pair; returns one record per pair.
+    The backend selected before the call is selected again after it."""
+    previous = kernels.current_backend().name
     kernels.select_backend(spec.backend)
-    variants = ("expression", "direct")
-    records = []
-    for n in spec.sizes:
-        # One operand set for both variants: separate sets would leave the
-        # first-allocated one out of cache when the timed reps begin.
-        operands = _make_operands(spec.operation, n, spec.seed)
-        bodies = {}
-        times = {v: [] for v in variants}
-        for variant in variants:
-            bodies[variant] = _statement(spec.operation, operands, variant)
-            bodies[variant]()  # warm-up, untimed
-        # Interleave the variants rep by rep, alternating which goes first,
-        # so machine drift (frequency scaling, co-tenants) and within-pair
-        # position effects hit both variants equally instead of whichever
-        # happened to run later.
-        for rep in range(spec.repetitions):
-            order = variants if rep % 2 == 0 else variants[::-1]
-            for variant in order:
-                t0 = time.perf_counter_ns()
-                bodies[variant]()
-                times[variant].append((time.perf_counter_ns() - t0) / 1000.0)
-        for variant in variants:
-            mean = statistics.fmean(times[variant])
-            std = (statistics.stdev(times[variant])
-                   if len(times[variant]) > 1 else 0.0)
-            records.append(BenchRecord(spec.operation, n, variant, mean, std,
-                                       spec.repetitions))
-    return records
+    try:
+        variants = ("expression", "direct")
+        records = []
+        for n in spec.sizes:
+            # One operand set for both variants: separate sets would leave the
+            # first-allocated one out of cache when the timed reps begin.
+            operands = _make_operands(spec.operation, n, spec.seed)
+            bodies = {}
+            times = {v: [] for v in variants}
+            for variant in variants:
+                bodies[variant] = _statement(spec.operation, operands, variant)
+                bodies[variant]()  # warm-up, untimed
+            # Interleave the variants rep by rep, alternating which goes first,
+            # so machine drift (frequency scaling, co-tenants) and within-pair
+            # position effects hit both variants equally instead of whichever
+            # happened to run later.
+            for rep in range(spec.repetitions):
+                order = variants if rep % 2 == 0 else variants[::-1]
+                for variant in order:
+                    t0 = time.perf_counter_ns()
+                    bodies[variant]()
+                    t1 = time.perf_counter_ns()
+                    times[variant].append((t1 - t0) / 1000.0)
+            for variant in variants:
+                mean = statistics.fmean(times[variant])
+                std = (statistics.stdev(times[variant])
+                       if len(times[variant]) > 1 else 0.0)
+                records.append(BenchRecord(spec.operation, n, variant, mean,
+                                           std, spec.repetitions))
+        return records
+    finally:
+        kernels.select_backend(previous)
 
 
 def emit_csv(records, path) -> None:

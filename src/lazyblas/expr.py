@@ -6,7 +6,8 @@ built: ``*`` folds every scalar factor into a per-leaf coefficient and
 ``transpose`` flips a flag on its leaf, bottom-up in the order Python
 evaluates the operators, so there is no separate normalization pass.
 When a result is demanded (:func:`evaluate`, :func:`assign`,
-:func:`accumulate`, or ``+=``) the tree is matched against the
+:func:`accumulate`, or ``+=``) one walk of the tree checks shapes,
+element types and aliasing, and lowering matches it against the
 BLAS-level patterns, so a statement like
 
     C += alpha * transpose(A) * beta * B
@@ -23,7 +24,10 @@ a product or a sum is computed first into a temporary tensor (counted in
 ``A*B*A`` is a gemm into a temporary, then a gemm.  Well-formed
 statements with no kernel route, and those where the destination also
 appears as an addend, fall back to a naive recursive evaluation; they
-never raise.
+never raise.  A statement that mixes float32 and float64 raises
+TypeError before anything is allocated or written.  Each lowered op
+carries its ``kernels.*`` call, so running a statement is one loop of
+calls.
 
 Expression trees hold tensor references, never copies, and are only
 valid for the duration of the statement that builds them.
@@ -199,7 +203,10 @@ class Sum(Node):
 
 
 class Product(Node):
-    __slots__ = ("left", "right")
+    """``left * right``.  ``plan`` is set by the statement walk: the
+    product's kernel and its factors' kinds."""
+
+    __slots__ = ("left", "right", "plan")
 
     def __init__(self, left, right):
         self.left = left
@@ -288,12 +295,25 @@ def normalize(e):
 
 
 # ---------------------------------------------------------------------------
-# result-kind inference
+# the statement walk: kinds, element types, destination use
 #
 # On the statement path a kind is ``None`` for a scalar or an
 # ``(extents, covector)`` tuple: building a ResultKind per node would cost
-# more than the rest of inference.  ``infer_kind`` returns the public
+# more than the rest of the walk.  ``infer_kind`` returns the public
 # objects.
+
+# Product kernels by the signatures of the two factors, where a factor's
+# signature is its rank, or 0 for a covector: the kernel, what to call a
+# mismatch of the contracted extents (None: nothing is contracted), and
+# the extents of the result from the factors' extents (none: a scalar).
+_PRODUCTS = {
+    (0, 1): ("dot", "inner product of", lambda le, re: None),
+    (1, 0): ("ger", None, lambda le, re: ((le[0], re[0]), False)),
+    (2, 1): ("gemv", "matrix-vector product of",
+             lambda le, re: ((le[0],), False)),
+    (2, 2): ("gemm", "inner dimensions differ:",
+             lambda le, re: ((le[0], re[1]), False)),
+}
 
 
 def _kind_str(k):
@@ -306,14 +326,37 @@ def infer_kind(e):
     Raises ShapeError naming both offending kinds when operands cannot
     combine.
     """
-    k = _infer(_as_node(e))
+    k = _walk(_as_node(e), None, None, None)
     return SCALAR if k is None else ResultKind(*k)
 
 
-def _infer(n):
+def _walk(n, dest, dt, shared):
+    """The kind of ``n``, from the one walk that checks all that lowering
+    relies on, so that a statement that raises allocates and writes
+    nothing: kinds combine (ShapeError naming both), every leaf holds
+    ``dt`` elements (TypeError; None skips), and ``dest``'s storage
+    occurs in no product (AliasingError).  A leaf overlapping it in an
+    additive position is appended to ``shared`` (None below a product).
+    Overlap counts, not only identity; buffers that two tensors allocated
+    themselves cannot overlap, so they skip the storage test.  Each
+    product gets its ``plan``: its kernel (None beside a scalar factor)
+    and its factors' kinds."""
     t = type(n)
     if t is Term:
-        ext = n.tensor.extents
+        x = n.tensor
+        data = x._data
+        if data.dtype is not dt and dt is not None and data.dtype != dt:
+            raise TypeError(f"mixed element types: {dt} vs {data.dtype}")
+        if dest is not None and (x is dest or (
+                not (x.owns_storage and dest.owns_storage)
+                and np.shares_memory(data, dest._data))):
+            if shared is None:
+                raise AliasingError(
+                    "destination appears as a multiplicand operand in this "
+                    "expression; evaluate into a different tensor"
+                )
+            shared.append(n)
+        ext = x.extents
         if not n.trans:
             return ext, False
         if len(ext) == 1:
@@ -321,43 +364,41 @@ def _infer(n):
         return (ext[1], ext[0]), False
     if t is Literal:
         return None
-    lk = _infer(n.left)
-    rk = _infer(n.right)
     if t is Sum:
+        lk = _walk(n.left, dest, dt, shared)
+        rk = _walk(n.right, dest, dt, shared)
         if lk != rk:
             raise ShapeError(f"cannot add {_kind_str(lk)} and {_kind_str(rk)}")
         return lk
-    # product
-    if lk is None:
-        return rk
-    if rk is None:
-        return lk
+    lk = _walk(n.left, dest, dt, None)
+    rk = _walk(n.right, dest, dt, None)
+    if lk is None or rk is None:
+        n.plan = None, lk, rk
+        return lk if rk is None else rk
     (le, lcov), (re, rcov) = lk, rk
-    lr, rr = len(le), len(re)
-    if lr == 1 and rr == 1:
-        if lcov and not rcov:
-            if le != re:
-                raise ShapeError(
-                    f"inner product of {_kind_str(lk)} and {_kind_str(rk)}")
-            return None
-        if not lcov and rcov:
-            return (le[0], re[0]), False
+    rule = _PRODUCTS.get((len(le) - lcov, len(re) - rcov))
+    if rule is None:
+        if len(le) == 1 and len(re) == 1:
+            raise ShapeError(
+                f"vector product of {_kind_str(lk)} and {_kind_str(rk)} needs "
+                f"exactly one transposed side"
+            )
         raise ShapeError(
-            f"vector product of {_kind_str(lk)} and {_kind_str(rk)} needs "
-            f"exactly one transposed side"
-        )
-    if lr == 2 and rr == 1 and not rcov:
-        if le[1] != re[0]:
-            raise ShapeError(
-                f"matrix-vector product of {_kind_str(lk)} and {_kind_str(rk)}")
-        return (le[0],), False
-    if lr == 2 and rr == 2:
-        if le[1] != re[0]:
-            raise ShapeError(
-                f"inner dimensions differ: {_kind_str(lk)} and {_kind_str(rk)}")
-        return (le[0], re[1]), False
-    raise ShapeError(
-        f"unsupported product between {_kind_str(lk)} and {_kind_str(rk)}")
+            f"unsupported product between {_kind_str(lk)} and {_kind_str(rk)}")
+    kernel, mismatch, result = rule
+    if mismatch is not None and le[-1] != re[0]:
+        raise ShapeError(f"{mismatch} {_kind_str(lk)} and {_kind_str(rk)}")
+    n.plan = kernel, lk, rk
+    return result(le, re)
+
+
+def _expr_dtype(n):
+    t = type(n)
+    if t is Term:
+        return n.tensor._data.dtype
+    if t is Literal:
+        return None
+    return _expr_dtype(n.left) or _expr_dtype(n.right)
 
 
 # ---------------------------------------------------------------------------
@@ -365,55 +406,35 @@ def _infer(n):
 
 
 class LoweredOp:
-    """One recognized kernel invocation (or a fallback evaluation).
+    """One kernel call of a lowered statement, carrying its call.
 
-    ``kernel`` is one of copy/axpy/dot/gemv/ger/gemm/fallback.
-    ``pre_zero`` asks the executor to zero-fill the destination first
-    (assign semantics expressed through an accumulating kernel).
-    """
+    ``fn`` is the ``kernels.<kernel>`` function as looked up when the
+    statement was lowered, ``args`` its positional arguments in that
+    public signature: running the op is ``fn(*args)``.  A ``fallback``
+    op's ``fn`` is the naive evaluator.  ``pre_zero`` asks the executor
+    to zero-fill the destination (the last argument) first; ``alpha``
+    scales a dot's value.  Ops call ``kernels.*``, not a backend routine
+    resolved here, because that is where every call is checked and
+    logged, and where a wrapper installed on the module (a tracer) sees
+    it."""
 
-    __slots__ = ("kernel", "operands", "trans_a", "trans_b", "alpha", "beta",
-                 "dest", "expr", "accumulate", "pre_zero")
+    __slots__ = ("kernel", "fn", "args", "alpha", "beta", "trans_a",
+                 "trans_b", "pre_zero")
 
-    def __init__(self, kernel, operands=(), trans_a=False, trans_b=False,
-                 alpha=1.0, beta=0.0, dest=None, expr=None, accumulate=False,
-                 pre_zero=False):
+    def __init__(self, kernel, fn, args, alpha=1.0, beta=0.0, trans_a=False,
+                 trans_b=False, pre_zero=False):
         self.kernel = kernel
-        self.operands = operands
-        self.trans_a = trans_a
-        self.trans_b = trans_b
+        self.fn = fn
+        self.args = args
         self.alpha = alpha
         self.beta = beta
-        self.dest = dest
-        self.expr = expr
-        self.accumulate = accumulate
+        self.trans_a = trans_a
+        self.trans_b = trans_b
         self.pre_zero = pre_zero
 
     def __repr__(self):
         return (f"LoweredOp({self.kernel}, alpha={self.alpha}, beta={self.beta}, "
                 f"trans=({self.trans_a}, {self.trans_b}))")
-
-
-def _dest_use(n, dest):
-    """Where ``dest``'s storage occurs in ``n``: 0 nowhere, 1 only in
-    additive positions, 2 inside a product.  Overlap counts, not only
-    identity: two ``wrap`` views of one buffer alias each other,
-    interleaved ones do not.  Buffers that two tensors allocated
-    themselves cannot overlap, so the storage test is skipped for them."""
-    t = type(n)
-    if t is Term:
-        x = n.tensor
-        return 1 if x is dest or (
-            not (x.owns_storage and dest.owns_storage)
-            and np.shares_memory(x._data, dest._data)
-        ) else 0
-    if t is Literal:
-        return 0
-    if t is Product:
-        return 2 if _dest_use(n.left, dest) or _dest_use(n.right, dest) else 0
-    left = _dest_use(n.left, dest)
-    right = _dest_use(n.right, dest)
-    return left if left > right else right
 
 
 def _temporary(n, kind, ops):
@@ -428,44 +449,33 @@ def _temporary(n, kind, ops):
 
 def _lower_product(n, dest, beta, ops):
     """Append to ``ops`` the kernel calls for ``dest <- n + beta*dest``
-    (the value of a dot when ``dest`` is None), factors first.
-
-    Returns False, appending nothing, when ``n`` has no kernel route: a
-    factor is scalar-valued, or a ger would need a beta other than 0
-    (a zero-fill before it) or 1 (its own update).
-    """
-    l, r = n.left, n.right
-    lk = rk = None  # the kinds of factors that are not leaves
-    if type(l) is not Term:
-        lk = _infer(l)
-        if lk is None:
-            return False
-    if type(r) is not Term:
-        rk = _infer(r)
-        if rk is None:
-            return False
-    # n has passed kind inference, so the factor ranks admit one kernel
-    if len(l.tensor.extents if lk is None else lk[0]) == 2:
-        rrank = len(r.tensor.extents if rk is None else rk[0])
-        kernel = "gemv" if rrank == 1 else "gemm"
-    elif l.trans if lk is None else lk[1]:
-        kernel = "dot"
-    elif beta == 0.0 or beta == 1.0:
-        kernel = "ger"
-    else:
+    (the value of a dot when ``dest`` is None), factors first.  Returns
+    False, appending nothing, when ``n`` has no kernel route: a factor is
+    scalar-valued, or a ger would need a beta other than 0 or 1."""
+    kernel, lk, rk = n.plan
+    if kernel is None or kernel == "ger" and beta != 0.0 and beta != 1.0:
         return False
-    if lk is not None:
+    l, r = n.left, n.right
+    if type(l) is not Term:
         l = _temporary(l, lk, ops)
-    if rk is not None:
+    if type(r) is not Term:
         r = _temporary(r, rk, ops)
-    operands = (l.tensor, r.tensor)
+    x, y = l.tensor, r.tensor
     alpha = l.coef * r.coef
-    if kernel == "ger":
-        ops.append(LoweredOp("ger", operands, alpha=alpha, dest=dest,
-                             pre_zero=beta == 0.0))
+    if kernel == "gemm":
+        ta, tb = l.trans, r.trans
+        op = LoweredOp("gemm", kernels.gemm,
+                       (ta, tb, alpha, x, y, beta, dest), alpha, beta, ta, tb)
+    elif kernel == "gemv":
+        ta = l.trans
+        op = LoweredOp("gemv", kernels.gemv, (ta, alpha, x, y, beta, dest),
+                       alpha, beta, ta)
+    elif kernel == "ger":
+        op = LoweredOp("ger", kernels.ger, (alpha, x, y, dest), alpha, 0.0,
+                       False, False, beta == 0.0)
     else:
-        ops.append(LoweredOp(kernel, operands, l.trans, r.trans, alpha, beta,
-                             dest))
+        op = LoweredOp("dot", kernels.dot, (x, y), alpha)
+    ops.append(op)
     return True
 
 
@@ -473,30 +483,7 @@ def _lower_scalar(n):
     ops = []
     if type(n) is Product and _lower_product(n, None, 0.0, ops):
         return ops  # a scalar-valued product of tensors: a dot
-    return [LoweredOp("fallback", expr=n)]
-
-
-def _lower_into(dest, mode, n):
-    beta = 1.0 if mode == "accumulate" else 0.0
-    use = _dest_use(n, dest)
-    if use == 0:
-        return _lower_sum(dest, n, beta, [])
-    if use == 2:
-        raise AliasingError(
-            "destination appears as a multiplicand operand in this "
-            "expression; evaluate into a different tensor"
-        )
-    # dest in an additive position: the beta of the one kernel call for
-    # the other addend, or evaluated alias-safe
-    if type(n) is Sum:
-        for scaled, prod in ((n.left, n.right), (n.right, n.left)):
-            ops = []
-            if (type(scaled) is Term and scaled.tensor is dest
-                    and not scaled.trans and type(prod) is Product
-                    and _lower_product(prod, dest, scaled.coef + beta, ops)):
-                return ops
-    return [LoweredOp("fallback", expr=n, dest=dest,
-                      accumulate=mode == "accumulate")]
+    return [LoweredOp("fallback", _fallback, (n, None, False))]
 
 
 def _lower_sum(dest, n, beta, ops):
@@ -512,45 +499,62 @@ def _lower_sum(dest, n, beta, ops):
     if t is Term:
         if not n.trans or len(n.tensor.extents) == 1:
             if beta == 0.0 and n.coef == 1.0:
-                ops.append(LoweredOp("copy", (n.tensor,), dest=dest))
+                ops.append(LoweredOp("copy", kernels.copy, (n.tensor, dest)))
             else:
-                ops.append(LoweredOp("axpy", (n.tensor,), alpha=n.coef,
-                                     dest=dest, pre_zero=beta == 0.0))
+                ops.append(LoweredOp("axpy", kernels.axpy,
+                                     (n.coef, n.tensor, dest), n.coef, 0.0,
+                                     False, False, beta == 0.0))
             return ops
     elif t is Product and _lower_product(n, dest, beta, ops):
         return ops
-    ops.append(LoweredOp("fallback", expr=n, dest=dest,
-                         accumulate=beta != 0.0))
+    ops.append(LoweredOp("fallback", _fallback, (n, dest, beta != 0.0)))
     return ops
 
 
 def lower(e, dest=None, mode="assign"):
-    """Translate an expression into a sequence of LoweredOps.
+    """Translate an expression into LoweredOps, each carrying the
+    ``kernels.*`` call that runs it.
 
-    With no destination, a scalar-kind expression lowers to a dot or a
-    scalar fallback; tensor kinds require ``dest``.  Each addend of a sum
-    becomes copy/axpy (scaled leaves of any rank) or one gemv/ger/gemm;
-    a ``beta*dest`` addend beside one gemv/gemm becomes its beta.  A
-    product factor that is not a leaf is lowered first, in the tree's own
-    parenthesization, into a fresh temporary tensor allocated here.  What
-    has no kernel route becomes a ``fallback`` op.
+    One walk checks shapes, element types and the destination's storage
+    before any temporary is allocated.  With no destination, a scalar
+    kind lowers to a dot or a scalar fallback; tensor kinds require
+    ``dest``.  Each addend of a sum becomes copy/axpy (scaled leaves of
+    any rank) or one gemv/ger/gemm; a ``beta*dest`` addend beside one
+    gemv/gemm becomes its beta.  A product factor that is not a leaf is
+    lowered first, in the tree's own parenthesization, into a temporary
+    allocated here.  What has no kernel route becomes a ``fallback`` op.
     """
     if mode != "assign" and mode != "accumulate":
         raise ValueError(f"mode must be 'assign' or 'accumulate', not {mode!r}")
     n = _as_node(e)
-    kind = _infer(n)
-    if kind is None:
-        if dest is not None:
-            raise ShapeError("scalar expression cannot target a tensor destination")
-        return _lower_scalar(n)
     if dest is None:
-        raise ShapeError("tensor-kind expression needs a destination to lower into")
+        if _walk(n, None, _expr_dtype(n), None) is not None:
+            raise ShapeError(
+                "tensor-kind expression needs a destination to lower into")
+        return _lower_scalar(n)
+    shared = []
+    kind = _walk(n, dest, dest._data.dtype, shared)
+    if kind is None:
+        raise ShapeError("scalar expression cannot target a tensor destination")
     if kind[0] != dest.extents:
         raise ShapeError(
             f"expression kind {_kind_str(kind)} does not match destination "
             f"extents {dest.extents}"
         )
-    return _lower_into(dest, mode, n)
+    beta = 1.0 if mode == "accumulate" else 0.0
+    if not shared:
+        return _lower_sum(dest, n, beta, [])
+    # dest in an additive position: the beta of the one kernel call for
+    # the other addend, or evaluated alias-safe
+    d = shared[0]
+    if (len(shared) == 1 and type(n) is Sum and d.tensor is dest
+            and not d.trans):
+        prod = n.right if d is n.left else n.left if d is n.right else None
+        ops = []
+        if (type(prod) is Product
+                and _lower_product(prod, dest, d.coef + beta, ops)):
+            return ops
+    return [LoweredOp("fallback", _fallback, (n, dest, beta != 0.0))]
 
 
 # ---------------------------------------------------------------------------
@@ -620,71 +624,43 @@ def _naive_mul(left, right):
 # execution
 
 
-def _run_op(op):
-    k = op.kernel
-    if op.pre_zero:
-        op.dest._data.fill(0.0)
-        kernels.log().element_writes += op.dest.size
-    if k == "dot":
-        return op.alpha * kernels.dot(*op.operands)
-    if k == "copy":
-        kernels.copy(op.operands[0], op.dest)
-        return op.dest
-    if k == "axpy":
-        kernels.axpy(op.alpha, op.operands[0], op.dest)
-        return op.dest
-    if k == "gemv":
-        kernels.gemv(op.trans_a, op.alpha, op.operands[0], op.operands[1],
-                     op.beta, op.dest)
-        return op.dest
-    if k == "ger":
-        kernels.ger(op.alpha, op.operands[0], op.operands[1], op.dest)
-        return op.dest
-    if k == "gemm":
-        kernels.gemm(op.trans_a, op.trans_b, op.alpha, op.operands[0],
-                     op.operands[1], op.beta, op.dest)
-        return op.dest
-    # fallback: compute alias-safe, then write
-    value = _eval_naive(op.expr)
-    if op.dest is None:
+def _fallback(n, dest, accumulate):
+    """Evaluate ``n`` naively, alias-safe, then write it to ``dest``, or
+    return it when ``dest`` is None."""
+    value = _eval_naive(n)
+    if dest is None:
         if _is_cov(value):
             raise ShapeError("a bare transposed vector has no scalar value")
         kernels.log().record("fallback", ())
         return float(value)
-    kernels.log().record("fallback", (op.dest.extents,))
-    view = op.dest.column_view()
+    kernels.log().record("fallback", (dest.extents,))
+    view = dest.column_view()
     if _is_cov(value):
         value = value[1]
-    if op.accumulate:
+    if accumulate:
         view += value
     else:
         view[...] = value
-    kernels.log().element_writes += op.dest.size
-    return op.dest
+    kernels.log().element_writes += dest.size
 
 
 def _execute(ops):
-    result = None
+    """Run the ops in order; the value of the last (a float for a dot or
+    a scalar fallback)."""
     for op in ops:
-        result = _run_op(op)
-    return result
-
-
-def _expr_dtype(n):
-    t = type(n)
-    if t is Term:
-        return n.tensor.dtype
-    if t is Literal:
-        return None
-    return _expr_dtype(n.left) or _expr_dtype(n.right)
+        if op.pre_zero:
+            dest = op.args[-1]
+            dest._data.fill(0.0)
+            kernels.log().element_writes += dest.size
+        value = op.fn(*op.args)
+    return value
 
 
 def evaluate(e):
     """Force an expression: returns a float for scalar kinds, otherwise a
     freshly allocated tensor (zero-initialized, then accumulated into)."""
-    # An inner product, scaled or not, goes straight to the kernel: kind
-    # inference and the lowering walk each cost on the order of a
-    # microsecond, a measurable fraction of a dot at BLAS-1 sizes.
+    # An inner product, scaled or not, goes straight to the kernel: the
+    # walk, lowering and op cost more than the dot itself at BLAS-1 sizes.
     if type(e) is Product:
         l, r = e.left, e.right
         if (type(l) is Term and type(r) is Term and l.trans and not r.trans
@@ -694,11 +670,13 @@ def evaluate(e):
             value = kernels.dot(l.tensor, r.tensor)
             return value if alpha == 1.0 else alpha * value
     n = _as_node(e)
-    kind = _infer(n)
+    dt = _expr_dtype(n)
+    kind = _walk(n, None, dt, None)
     if kind is None:
-        return _execute(_lower_scalar(n))
+        ops = _lower_scalar(n)
+        return ops[-1].alpha * _execute(ops)
     extents = kind[0]
-    dest = Tensor(len(extents), *extents, dtype=_expr_dtype(n) or np.float64)
+    dest = Tensor(len(extents), *extents, dtype=dt)
     _execute(_lower_sum(dest, n, 1.0, []))
     return dest
 
@@ -742,12 +720,8 @@ def _tensor_radd(self, other):
     return Sum(_as_node(other), Term(1.0, self))
 
 
-def _tensor_iadd(self, other):
-    return accumulate(self, other)
-
-
 Tensor.__mul__ = _tensor_mul
 Tensor.__rmul__ = _tensor_rmul
 Tensor.__add__ = _tensor_add
 Tensor.__radd__ = _tensor_radd
-Tensor.__iadd__ = _tensor_iadd
+Tensor.__iadd__ = accumulate

@@ -1,9 +1,12 @@
 """Kernel contracts, backends, and call instrumentation.
 
 Seven kernels are exposed as module-level functions (copy, axpy, dot,
-nrm2, gemv, ger, gemm).  Each call validates shapes, appends a record to
-the active :class:`CallLog`, and dispatches to the currently selected
-backend.  Two backends ship in-tree:
+nrm2, gemv, ger, gemm).  Each call validates element types and shapes,
+appends a record to the active :class:`CallLog`, and calls the currently
+selected backend.  A lowered statement (:mod:`lazyblas.expr`) holds these
+functions with their positional arguments and runs them in turn, so a
+statement and a direct call take the same path: one check, one record,
+one backend call per kernel.  Two backends ship in-tree:
 
 * ``naive`` -- hand-written reference loops over the column-major
   buffers.  Always available, always the default.  Accumulation order is
@@ -98,6 +101,7 @@ class CallRecords(Sequence):
 
 
 _interned: dict = {}  # shapes and trans tuples: the first equal one seen
+_intern = _interned.setdefault
 
 
 @dataclass
@@ -122,9 +126,8 @@ class CallLog:
     def record(self, kernel, shapes, alpha=None, beta=None, trans=()) -> None:
         # interned: a fresh nested tuple would keep the row tracked for
         # one collector pass per level of nesting
-        intern = _interned.setdefault
-        self.records._rows.append((kernel, intern(shapes, shapes), alpha,
-                                   beta, intern(trans, trans)))
+        self.records._rows.append((kernel, _intern(shapes, shapes), alpha,
+                                   beta, _intern(trans, trans)))
 
     def kernel_counts(self) -> dict:
         counts: dict = {}
@@ -240,57 +243,51 @@ class ScipyBlasBackend:
 
     Leading dimensions come for free: all operand views are
     Fortran-contiguous, and transposition is expressed through the BLAS
-    trans flags, never through copies.  The wrappers take their optional
-    arguments by position, which skips f2py's keyword parsing.
+    trans flags, never through copies.  Each kernel's wrappers are
+    resolved once, keyed by element type, and take their optional
+    arguments by position, which skips f2py's keyword parsing; f2py
+    converts a bool trans flag itself.
     """
 
     name = "external-blas"
 
     def __init__(self):
-        from scipy.linalg import blas as _blas
+        from scipy.linalg import blas
 
-        self._blas = _blas
-        self._cache: dict = {}  # dtype -> {kernel name: BLAS wrapper}
-
-    def _f(self, name, dtype):
-        funcs = self._cache.get(dtype)
-        if funcs is None:
-            funcs = self._cache[dtype] = {
-                k: self._blas.get_blas_funcs(k, dtype=dtype)
-                for k in ("axpy", "dot", "nrm2", "gemv", "ger", "gemm")
-            }
-        return funcs[name]
+        for k in ("axpy", "dot", "nrm2", "gemv", "ger", "gemm"):
+            # self._axpy ... self._gemm: element type -> BLAS wrapper
+            setattr(self, "_" + k, {dt: blas.get_blas_funcs(k, dtype=dt)
+                                    for dt in (np.dtype(np.float32),
+                                               np.dtype(np.float64))})
 
     copy = NaiveBackend.copy
 
     def axpy(self, alpha, x, y):
-        res = self._f("axpy", x.dtype)(x, y, None, alpha)
+        res = self._axpy[x.dtype](x, y, None, alpha)
         if res is not y:
             y[...] = res
 
     def dot(self, x, y):
-        return float(self._f("dot", x.dtype)(x, y))
+        return float(self._dot[x.dtype](x, y))
 
     def nrm2(self, x):
-        return float(self._f("nrm2", x.dtype)(x))
+        return float(self._nrm2[x.dtype](x))
 
     def gemv(self, trans, alpha, a, x, beta, y):
         # (alpha, a, x, beta, y, offx, incx, offy, incy, trans, overwrite_y)
-        res = self._f("gemv", a.dtype)(alpha, a, x, beta, y, 0, 1, 0, 1,
-                                       int(trans), 1)
+        res = self._gemv[a.dtype](alpha, a, x, beta, y, 0, 1, 0, 1, trans, 1)
         if res is not y:
             y[...] = res
 
     def ger(self, alpha, x, y, a):
         # (alpha, x, y, incx, incy, a, overwrite_x, overwrite_y, overwrite_a)
-        res = self._f("ger", a.dtype)(alpha, x, y, 1, 1, a, 0, 0, 1)
+        res = self._ger[a.dtype](alpha, x, y, 1, 1, a, 0, 0, 1)
         if res is not a:
             a[...] = res
 
     def gemm(self, trans_a, trans_b, alpha, a, b, beta, c):
         # (alpha, a, b, beta, c, trans_a, trans_b, overwrite_c)
-        res = self._f("gemm", a.dtype)(alpha, a, b, beta, c, int(trans_a),
-                                       int(trans_b), 1)
+        res = self._gemm[a.dtype](alpha, a, b, beta, c, trans_a, trans_b, 1)
         if res is not c:
             c[...] = res
 
@@ -329,15 +326,21 @@ def current_backend():
 
 
 # ---------------------------------------------------------------------------
-# dispatch layer: shape checks + logging + write accounting
+# dispatch layer: checks, logging and write accounting
+#
+# Element types are compared by identity first (numpy shares one dtype
+# object per native type); the call-log row is appended inline; the
+# backend is called by attribute, so a method replaced on the instance
+# is the one called.
+
+_rows = _active_log.records._rows  # cleared in place, never replaced
 
 
-def _check_same_dtype(x, y, z=None):
-    # identity first: a tensor holds float32 or float64, and numpy shares
-    # one dtype object per native type
-    dt = x._data.dtype
-    for t in (y, z) if z is not None else (y,):
-        if t._data.dtype is not dt and t._data.dtype != dt:
+def _mixed_types(*tensors):
+    """TypeError unless the tensors' element types are equal."""
+    dt = tensors[0]._data.dtype
+    for t in tensors[1:]:
+        if t._data.dtype != dt:
             raise TypeError(f"mixed element types: {dt} vs {t.dtype}")
 
 
@@ -356,14 +359,17 @@ def _empty_contraction(view, beta, size) -> None:
 
 def copy(x, dest) -> None:
     """dest <- x, element for element."""
-    _check_same_dtype(x, dest)
-    if x.extents != dest.extents:
-        raise ShapeError(f"copy: shape mismatch {x.extents} vs {dest.extents}")
-    _active_log.record("copy", (x.extents, dest.extents))
+    if x._data.dtype is not dest._data.dtype:
+        _mixed_types(x, dest)
+    xe = x.extents
+    if xe != dest.extents:
+        raise ShapeError(f"copy: shape mismatch {xe} vs {dest.extents}")
+    shapes = (xe, xe)
+    _rows.append(("copy", _intern(shapes, shapes), None, None, ()))
     size = x._data.shape[0]
     if size == 0:
         return
-    _current.copy(x.column_view(), dest.column_view())
+    _current.copy(x._view, dest._view)
     _active_log.element_writes += size
 
 
@@ -373,43 +379,54 @@ def axpy(alpha, x, y) -> None:
     Works on the flat column-major buffers: every tensor is a vector in
     storage order.
     """
-    _check_same_dtype(x, y)
-    if x.extents != y.extents:
-        raise ShapeError(f"axpy: shape mismatch {x.extents} vs {y.extents}")
-    _active_log.record("axpy", (x.extents, y.extents), alpha=alpha)
-    size = x._data.shape[0]
+    xd, yd = x._data, y._data
+    if xd.dtype is not yd.dtype:
+        _mixed_types(x, y)
+    xe = x.extents
+    if xe != y.extents:
+        raise ShapeError(f"axpy: shape mismatch {xe} vs {y.extents}")
+    shapes = (xe, xe)
+    _rows.append(("axpy", _intern(shapes, shapes), alpha, None, ()))
+    size = xd.shape[0]
     if size == 0:
         return
-    _current.axpy(alpha, x._data, y._data)
+    _current.axpy(alpha, xd, yd)
     _active_log.element_writes += size
 
 
 def dot(x, y) -> float:
     """Inner product of two vectors."""
-    _check_same_dtype(x, y)
+    xd, yd = x._data, y._data
+    if xd.dtype is not yd.dtype:
+        _mixed_types(x, y)
     xe = x.extents
     if len(xe) != 1 or xe != y.extents:
         raise ShapeError(f"dot: incompatible vectors {xe} vs {y.extents}")
-    _active_log.record("dot", (xe, xe))
+    shapes = (xe, xe)
+    _rows.append(("dot", _intern(shapes, shapes), None, None, ()))
     if xe[0] == 0:
         return 0.0
-    return _current.dot(x._data, y._data)
+    return _current.dot(xd, yd)
 
 
 def nrm2(x) -> float:
     """Euclidean norm of a vector, overflow-safe."""
-    if x.rank != 1:
-        raise ShapeError(f"nrm2: expected a vector, got extents {x.extents}")
-    _active_log.record("nrm2", (x.extents,))
-    if x.size == 0:
+    xe = x.extents
+    if len(xe) != 1:
+        raise ShapeError(f"nrm2: expected a vector, got extents {xe}")
+    shapes = (xe,)
+    _rows.append(("nrm2", _intern(shapes, shapes), None, None, ()))
+    if xe[0] == 0:
         return 0.0
-    return _current.nrm2(x.column_view())
+    return _current.nrm2(x._data)
 
 
 def gemv(trans, alpha, a, x, beta, y) -> None:
     """y <- alpha*op(a)*x + beta*y.  An empty contraction leaves
     beta*y."""
-    _check_same_dtype(a, x, y)
+    dt = a._data.dtype
+    if x._data.dtype is not dt or y._data.dtype is not dt:
+        _mixed_types(a, x, y)
     ae, xe, ye = a.extents, x.extents, y.extents
     if len(ae) != 2 or len(xe) != 1 or len(ye) != 1:
         raise ShapeError("gemv: expected matrix, vector, vector")
@@ -419,20 +436,23 @@ def gemv(trans, alpha, a, x, beta, y) -> None:
             f"gemv: op(A) is {rows}x{cols}, x has length {xe[0]}, "
             f"y has length {ye[0]}"
         )
-    _active_log.record("gemv", (ae, xe, ye), alpha=alpha, beta=beta,
-                       trans=(trans,))
+    shapes, flags = (ae, xe, ye), (trans,)
+    _rows.append(("gemv", _intern(shapes, shapes), alpha, beta,
+                  _intern(flags, flags)))
     if rows == 0:
         return
     if cols == 0:
         _empty_contraction(y._data, beta, rows)
         return
-    _current.gemv(trans, alpha, a.column_view(), x._data, beta, y._data)
+    _current.gemv(trans, alpha, a._view, x._data, beta, y._data)
     _active_log.element_writes += rows
 
 
 def ger(alpha, x, y, a) -> None:
     """a <- alpha * x yT + a (rank-1 update)."""
-    _check_same_dtype(x, y, a)
+    dt = a._data.dtype
+    if x._data.dtype is not dt or y._data.dtype is not dt:
+        _mixed_types(x, y, a)
     xe, ye, ae = x.extents, y.extents, a.extents
     if len(xe) != 1 or len(ye) != 1 or len(ae) != 2:
         raise ShapeError("ger: expected vector, vector, matrix")
@@ -440,18 +460,21 @@ def ger(alpha, x, y, a) -> None:
         raise ShapeError(
             f"ger: A is {ae}, outer product is ({xe[0]}, {ye[0]})"
         )
-    _active_log.record("ger", (xe, ye, ae), alpha=alpha)
-    size = a._data.shape[0]
+    shapes = (xe, ye, ae)
+    _rows.append(("ger", _intern(shapes, shapes), alpha, None, ()))
+    size = ae[0] * ae[1]
     if size == 0:
         return
-    _current.ger(alpha, x._data, y._data, a.column_view())
+    _current.ger(alpha, x._data, y._data, a._view)
     _active_log.element_writes += size
 
 
 def gemm(trans_a, trans_b, alpha, a, b, beta, c) -> None:
     """c <- alpha*op(a)*op(b) + beta*c.  An empty contraction leaves
     beta*c; alpha 0 with beta 1 writes nothing."""
-    _check_same_dtype(a, b, c)
+    dt = a._data.dtype
+    if b._data.dtype is not dt or c._data.dtype is not dt:
+        _mixed_types(a, b, c)
     ae, be, ce = a.extents, b.extents, c.extents
     if len(ae) != 2 or len(be) != 2 or len(ce) != 2:
         raise ShapeError("gemm: expected three matrices")
@@ -461,8 +484,9 @@ def gemm(trans_a, trans_b, alpha, a, b, beta, c) -> None:
         raise ShapeError(
             f"gemm: op(A) is {m}x{ka}, op(B) is {kb}x{n}, C is {ce}"
         )
-    _active_log.record("gemm", (ae, be, ce), alpha=alpha, beta=beta,
-                       trans=(trans_a, trans_b))
+    shapes, flags = (ae, be, ce), (trans_a, trans_b)
+    _rows.append(("gemm", _intern(shapes, shapes), alpha, beta,
+                  _intern(flags, flags)))
     if m == 0 or n == 0:
         return
     if ka == 0:
@@ -470,6 +494,5 @@ def gemm(trans_a, trans_b, alpha, a, b, beta, c) -> None:
         return
     if alpha == 0.0 and beta == 1.0:
         return
-    _current.gemm(trans_a, trans_b, alpha, a.column_view(), b.column_view(),
-                  beta, c.column_view())
+    _current.gemm(trans_a, trans_b, alpha, a._view, b._view, beta, c._view)
     _active_log.element_writes += m * n

@@ -66,6 +66,12 @@ def _real_dtype(dtype):
     return dt
 
 
+def _column_view(data, extents):
+    """``data`` viewed with ``extents`` in column-major order; made once
+    per tensor, so that kernels read it as an attribute."""
+    return data if len(extents) == 1 else data.reshape(extents, order="F")
+
+
 class Tensor:
     """Dense rank-``k`` tensor over float32 or float64 elements.
 
@@ -78,20 +84,22 @@ class Tensor:
     __slots__ = ("extents", "owns_storage", "_data", "_view")
 
     def __init__(self, rank, *extents, fill=0.0, dtype=np.float64):
-        self.extents = _resolve_extents(rank, extents)
+        self.extents = ext = _resolve_extents(rank, extents)
         dtype = _real_dtype(dtype)
-        size = math.prod(self.extents)
         self.owns_storage = True
-        self._view = None
-        # np.zeros costs a third of np.full; a -0.0 fill keeps its sign
+        # allocated in its column-major shape, so that the flat buffer is
+        # the cheap view; np.zeros costs a third of np.full; a -0.0 fill
+        # keeps its sign
         if type(fill) is float and fill == 0.0 and math.copysign(1.0, fill) > 0:
-            self._data = np.zeros(size, dtype=dtype)
+            view = np.zeros(ext, dtype, "F")
         elif callable(fill):
-            self._data = np.empty(size, dtype=dtype)
-            for idx in np.ndindex(self.extents):
-                self._data[self.offset_of(*idx)] = fill(*idx)
+            view = np.empty(ext, dtype, "F")
+            for idx in np.ndindex(ext):
+                view[idx] = fill(*idx)
         else:
-            self._data = np.full(size, fill, dtype=dtype)
+            view = np.full(ext, fill, dtype, "F")
+        self._view = view
+        self._data = view if len(ext) == 1 else view.ravel("F")
         kernels.log().allocations += 1
 
     # -- alternate constructors -------------------------------------------
@@ -120,7 +128,7 @@ class Tensor:
             )
         t._data = buffer[:size]
         t.owns_storage = False
-        t._view = None
+        t._view = _column_view(t._data, t.extents)
         return t
 
     @classmethod
@@ -161,7 +169,7 @@ class Tensor:
         t.extents = tuple(arr.shape)
         t._data = arr.ravel(order="F")  # outermost list = dimension 0
         t.owns_storage = True
-        t._view = None
+        t._view = _column_view(t._data, t.extents)
         kernels.log().allocations += 1
         return t
 
@@ -271,11 +279,6 @@ class Tensor:
 
     def column_view(self):
         """The elements as a Fortran-ordered numpy view (no copy)."""
-        if self._view is None:
-            if self.rank == 1:
-                self._view = self._data
-            else:
-                self._view = self._data.reshape(self.extents, order="F")
         return self._view
 
     def to_numpy(self):

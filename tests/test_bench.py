@@ -108,6 +108,14 @@ def test_run_keeps_shared_destination_finite(monkeypatch):
     assert np.all(np.isfinite(c.to_numpy()))
 
 
+@pytest.mark.skipif("external-blas" not in kernels.available_backends(),
+                    reason="scipy BLAS unavailable")
+def test_run_restores_the_selected_backend():
+    kernels.select_backend("naive")
+    run(BenchSpec("dot", sizes=(8,), repetitions=1, backend="external-blas"))
+    assert kernels.current_backend().name == "naive"
+
+
 def test_csv_layout(tmp_path):
     records = [BenchRecord("dot", 8, "expression", 1.234, 0.1, 10),
                BenchRecord("dot", 8, "direct", 1.0, 0.05, 10)]

@@ -17,14 +17,19 @@ reaches the backend as exactly one gemm call with ``transA`` set and
 
 A statement that fits no single kernel becomes a short sequence of
 them.  Scaled sums of tensors of any rank become copy/axpy over the flat
-column-major buffers.  A ``beta*dest`` addend beside one gemv/gemm
-becomes its beta, in either position.  A product factor that is itself
-a product or a sum is computed first into a temporary tensor (counted in
-``log().allocations``), following the tree's own parenthesization:
-``A*B*A`` is a gemm into a temporary, then a gemm.  Well-formed
-statements with no kernel route, and those where the destination also
-appears as an addend, fall back to a naive recursive evaluation; they
-never raise.  A statement that mixes float32 and float64 raises
+column-major buffers, one pass per addend: the first addend writes the
+destination with the kernel's beta 0, which does not read it, so no
+destination is zero-filled first (only ger, whose BLAS routine has no
+beta, needs that).  A ``beta*dest`` addend beside one gemv/gemm or one
+scaled leaf becomes that kernel's beta, in either position.  A product
+factor that is itself a product or a sum is computed first into a
+temporary tensor (counted in ``log().allocations``), following the
+tree's own parenthesization: ``A*B*A`` is a gemm into a temporary, then
+a gemm.  A temporary starts zeroed, as ``evaluate``'s result does, and
+its addends accumulate into it.  Well-formed statements with no kernel
+route, and those where the destination appears as an addend beside
+anything else, fall back to a naive recursive evaluation; they never
+raise.  A statement that mixes float32 and float64 raises
 TypeError before anything is allocated or written.  Each lowered op
 carries its ``kernels.*`` call, so running a statement is one loop of
 calls.
@@ -412,11 +417,13 @@ class LoweredOp:
     statement was lowered, ``args`` its positional arguments in that
     public signature: running the op is ``fn(*args)``.  A ``fallback``
     op's ``fn`` is the naive evaluator.  ``pre_zero`` asks the executor
-    to zero-fill the destination (the last argument) first; ``alpha``
-    scales a dot's value.  Ops call ``kernels.*``, not a backend routine
-    resolved here, because that is where every call is checked and
-    logged, and where a wrapper installed on the module (a tracer) sees
-    it."""
+    to zero-fill the destination (the last argument) first; only a ger
+    at beta 0 sets it, since BLAS's ger has no beta, while copy, axpy,
+    gemv and gemm write a beta-0 destination without reading it.
+    ``alpha`` scales a dot's value.  Ops call ``kernels.*``, not a
+    backend routine resolved here, because that is where every call is
+    checked and logged, and where a wrapper installed on the module (a
+    tracer) sees it."""
 
     __slots__ = ("kernel", "fn", "args", "alpha", "beta", "trans_a",
                  "trans_b", "pre_zero")
@@ -489,9 +496,12 @@ def _lower_scalar(n):
 def _lower_sum(dest, n, beta, ops):
     """Append to ``ops`` the ops for ``dest <- n + beta*dest``, beta 0 or
     1, where ``dest``'s storage does not occur in ``n``: one addend after
-    the other, the first with ``beta``, the rest accumulating.  A scaled
-    leaf works on the flat column-major buffers, whatever its rank; a
-    transposed matrix has no such route.  Returns ``ops``."""
+    the other, the first with ``beta``, the rest accumulating, so each
+    addend is one pass over ``dest``.  A scaled leaf works on the flat
+    column-major buffers, whatever its rank: a copy, or an axpy with the
+    addend's beta (at beta 0 it writes ``coef*x`` without reading
+    ``dest``); a transposed matrix has no such route.  Returns
+    ``ops``."""
     t = type(n)
     if t is Sum:
         _lower_sum(dest, n.left, beta, ops)
@@ -502,8 +512,8 @@ def _lower_sum(dest, n, beta, ops):
                 ops.append(LoweredOp("copy", kernels.copy, (n.tensor, dest)))
             else:
                 ops.append(LoweredOp("axpy", kernels.axpy,
-                                     (n.coef, n.tensor, dest), n.coef, 0.0,
-                                     False, False, beta == 0.0))
+                                     (n.coef, n.tensor, dest, beta), n.coef,
+                                     beta))
             return ops
     elif t is Product and _lower_product(n, dest, beta, ops):
         return ops
@@ -520,9 +530,10 @@ def lower(e, dest=None, mode="assign"):
     kind lowers to a dot or a scalar fallback; tensor kinds require
     ``dest``.  Each addend of a sum becomes copy/axpy (scaled leaves of
     any rank) or one gemv/ger/gemm; a ``beta*dest`` addend beside one
-    gemv/gemm becomes its beta.  A product factor that is not a leaf is
-    lowered first, in the tree's own parenthesization, into a temporary
-    allocated here.  What has no kernel route becomes a ``fallback`` op.
+    gemv/gemm or one untransposed scaled leaf becomes that kernel's
+    beta.  A product factor that is not a leaf is lowered first, in the
+    tree's own parenthesization, into a temporary allocated here.  What
+    has no kernel route becomes a ``fallback`` op.
     """
     if mode != "assign" and mode != "accumulate":
         raise ValueError(f"mode must be 'assign' or 'accumulate', not {mode!r}")
@@ -549,10 +560,14 @@ def lower(e, dest=None, mode="assign"):
     d = shared[0]
     if (len(shared) == 1 and type(n) is Sum and d.tensor is dest
             and not d.trans):
-        prod = n.right if d is n.left else n.left if d is n.right else None
+        other = n.right if d is n.left else n.left if d is n.right else None
+        t, b = type(other), d.coef + beta
+        if t is Term and not other.trans:
+            return [LoweredOp("axpy", kernels.axpy,
+                              (other.coef, other.tensor, dest, b),
+                              other.coef, b)]
         ops = []
-        if (type(prod) is Product
-                and _lower_product(prod, dest, d.coef + beta, ops)):
+        if t is Product and _lower_product(other, dest, b, ops):
             return ops
     return [LoweredOp("fallback", _fallback, (n, dest, beta != 0.0))]
 

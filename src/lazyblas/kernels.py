@@ -15,6 +15,11 @@ one backend call per kernel.  Two backends ship in-tree:
 * ``external-blas`` -- thin binding to an optimized BLAS through
   ``scipy.linalg.blas``.  Registered only when scipy imports cleanly.
 
+axpy, gemv and gemm take BLAS's beta: ``y <- alpha*x + beta*y`` for axpy
+(the AXPBY of the BLAS Technical Forum standard).  Beta 0 means the
+destination need not be set on input: it is never read, so NaNs in it do
+not reach the result, and a beta-0 axpy is one multiply pass.
+
 Operands with a zero extent make a kernel a no-op (no element is
 written, the call is still logged), except that gemv and gemm with an
 empty contraction still apply beta to the destination, as BLAS does:
@@ -170,7 +175,12 @@ class NaiveBackend:
     def copy(self, x, dest):
         dest[...] = x
 
-    def axpy(self, alpha, x, y):
+    def axpy(self, alpha, x, y, beta):
+        if beta == 0.0:
+            np.multiply(x, alpha, out=y)
+            return
+        if beta != 1.0:
+            y *= beta
         y += alpha * x
 
     def dot(self, x, y):
@@ -262,7 +272,12 @@ class ScipyBlasBackend:
 
     copy = NaiveBackend.copy
 
-    def axpy(self, alpha, x, y):
+    def axpy(self, alpha, x, y, beta):
+        if beta == 0.0:  # scipy exposes no axpby: one numpy pass
+            np.multiply(x, alpha, out=y)
+            return
+        if beta != 1.0:
+            y *= beta
         res = self._axpy[x.dtype](x, y, None, alpha)
         if res is not y:
             y[...] = res
@@ -373,11 +388,13 @@ def copy(x, dest) -> None:
     _active_log.element_writes += size
 
 
-def axpy(alpha, x, y) -> None:
-    """y <- alpha*x + y for tensors of equal extents, any rank.
+def axpy(alpha, x, y, beta=1.0) -> None:
+    """y <- alpha*x + beta*y for tensors of equal extents, any rank.
 
     Works on the flat column-major buffers: every tensor is a vector in
-    storage order.
+    storage order.  Beta 0 does not read ``y``: one pass writes
+    ``alpha*x``.  Beta 1 is the plain BLAS axpy; any other beta scales
+    ``y`` first.  The call-log row carries beta unless it is 1.
     """
     xd, yd = x._data, y._data
     if xd.dtype is not yd.dtype:
@@ -386,11 +403,12 @@ def axpy(alpha, x, y) -> None:
     if xe != y.extents:
         raise ShapeError(f"axpy: shape mismatch {xe} vs {y.extents}")
     shapes = (xe, xe)
-    _rows.append(("axpy", _intern(shapes, shapes), alpha, None, ()))
+    _rows.append(("axpy", _intern(shapes, shapes), alpha,
+                  None if beta == 1.0 else beta, ()))
     size = xd.shape[0]
     if size == 0:
         return
-    _current.axpy(alpha, xd, yd)
+    _current.axpy(alpha, xd, yd, beta)
     _active_log.element_writes += size
 
 

@@ -70,6 +70,25 @@ CASES = [
     case("axpy", "axpy", VEC, "y",
          lambda o: accumulate(o.y, 0.5 * o.x),
          lambda o: K.axpy(0.5, o.x, o.y)),
+    # axpy's beta: 0 for a scaled first addend, or the destination's
+    # coefficient beside one scaled leaf
+    case("axpy-beta0", "axpy", VEC, "y",
+         lambda o: assign(o.y, 2.0 * o.x),
+         lambda o: K.axpy(2.0, o.x, o.y, 0.0), nan=True),
+    case("axpy-beta2", "axpy", VEC, "y",
+         lambda o: assign(o.y, 0.5 * o.x + 2.0 * o.y),
+         lambda o: K.axpy(0.5, o.x, o.y, 2.0)),
+    case("axpy-acc-destlast", "axpy", VEC, "y",
+         lambda o: accumulate(o.y, o.x + o.y),
+         lambda o: K.axpy(1.0, o.x, o.y, 2.0)),
+    case("axpy-beta-1", "axpy", VEC, "y",
+         lambda o: assign(o.y, o.x + (-1.0) * o.y),
+         lambda o: K.axpy(1.0, o.x, o.y, -1.0)),
+    # y += x - y: the betas cancel to 0, so y is not read and the result
+    # is exactly x, NaNs in y or not
+    case("axpy-acc-cancel", "axpy", VEC, "y",
+         lambda o: accumulate(o.y, o.x + (-1.0) * o.y),
+         lambda o: K.axpy(1.0, o.x, o.y, 0.0), nan=True),
     case("dot", "dot", VEC, None,
          lambda o: evaluate(transpose(o.x) * o.y),
          lambda o: K.dot(o.x, o.y)),

@@ -197,6 +197,49 @@ def test_lower_axpy(rng):
     assert ops[0].alpha == 2.0
 
 
+def test_scaled_sum_makes_one_pass_per_addend(rng):
+    # the first addend writes the destination at beta 0: no zero fill
+    p, q, d = (rand_tensor(rng, 16, 16) for _ in range(3))
+    reset_log()
+    assign(d, 2.0 * p + 3.0 * q)
+    assert log().element_writes == 2 * d.size
+    x, y = rand_tensor(rng, 64), rand_tensor(rng, 64)
+    reset_log()
+    assign(y, 2.0 * x)
+    assert log().element_writes == y.size
+    ops = lower(2.0 * x, dest=y, mode="assign")
+    assert [op.kernel for op in ops] == ["axpy"]
+    assert not ops[0].pre_zero and ops[0].args == (2.0, x, y, 0.0)
+
+
+@pytest.mark.parametrize("statement,mode,alpha,beta", [
+    (lambda x, y: x + y, "assign", 1.0, 1.0),
+    (lambda x, y: 2.0 * x + 3.0 * y, "assign", 2.0, 3.0),
+    (lambda x, y: 3.0 * y + 2.0 * x, "assign", 2.0, 3.0),
+    (lambda x, y: x + y, "accumulate", 1.0, 2.0),
+])
+def test_dest_beside_one_scaled_leaf_is_the_axpy_beta(
+        rng, statement, mode, alpha, beta):
+    x, y = rand_tensor(rng, 9), rand_tensor(rng, 9)
+    want = alpha * x.to_numpy() + beta * y.to_numpy()
+    ops = lower(statement(x, y), dest=y, mode=mode)
+    assert [op.kernel for op in ops] == ["axpy"]
+    assert ops[0].args == (alpha, x, y, beta)
+    reset_log()
+    (assign if mode == "assign" else accumulate)(y, statement(x, y))
+    assert log().kernel_counts() == {"axpy": 1}
+    assert log().element_writes == y.size
+    np.testing.assert_array_equal(y.to_numpy(), want)
+
+
+def test_dest_addend_without_a_leaf_route_keeps_the_fallback(rng):
+    a, c = rand_tensor(rng, 3, 3), rand_tensor(rng, 3, 3)
+    for e in (3.0 * c,                # no other addend
+              transpose(a) + c,       # a transposed-matrix leaf
+              c + 2.0 * transpose(a)):
+        assert [op.kernel for op in lower(e, dest=c)] == ["fallback"]
+
+
 def test_lower_dot(rng):
     x, y = rand_tensor(rng, 8), rand_tensor(rng, 8)
     ops = lower(transpose(x) * y)

@@ -84,6 +84,41 @@ def test_axpy_any_rank_flat_buffers(rng):
         kernels.axpy(1.0, rand_tensor(rng, 2, 3), rand_tensor(rng, 3, 2))
 
 
+BACKEND_DTYPES = [(b, d) for b in available_backends()
+                  for d in (np.float32, np.float64)]
+
+
+@pytest.mark.parametrize("backend,dtype", BACKEND_DTYPES)
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+def test_axpy_beta_is_axpby(backend, dtype, beta):
+    # y <- alpha*x + beta*y; beta 0 never reads y, so its NaNs stay out
+    select_backend(backend)
+    x, y = Tensor(1, 7, dtype=dtype), Tensor(1, 7, dtype=dtype)
+    x.column_view()[...] = np.arange(7) - 3  # small integers: exact
+    y.column_view()[...] = np.nan if beta == 0.0 else 3.0
+    want = 0.5 * x.to_numpy() + (0.0 if beta == 0.0 else beta * 3.0)
+    reset_log()
+    kernels.axpy(0.5, x, y, beta)
+    np.testing.assert_array_equal(y.to_numpy(), want)
+    assert y.to_numpy().dtype == dtype
+    assert log().element_writes == 7
+    # the row for beta 1 is a plain axpy's, byte for byte
+    assert list(log().records) == [kernels.CallRecord(
+        "axpy", ((7,), (7,)), 0.5, None if beta == 1.0 else beta)]
+
+
+@pytest.mark.parametrize("backend,dtype", BACKEND_DTYPES)
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+def test_axpy_zero_extents_log_and_write_nothing(backend, dtype, beta):
+    select_backend(backend)
+    x, y = Tensor(2, 3, 0, dtype=dtype), Tensor(2, 3, 0, dtype=dtype)
+    reset_log()
+    kernels.axpy(0.5, x, y, beta)
+    assert [r.kernel for r in log().records] == ["axpy"]
+    assert log().records[0].beta == (None if beta == 1.0 else beta)
+    assert log().element_writes == 0
+
+
 def test_call_records_have_no_instance_dict():
     # slots keep a long-lived call log small
     kernels.dot(vector(2), vector(2))

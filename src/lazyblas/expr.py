@@ -16,23 +16,23 @@ reaches the backend as exactly one gemm call with ``transA`` set and
 ``alpha*beta`` folded, with no intermediate tensor.
 
 A statement that fits no single kernel becomes a short sequence of
-them.  Scaled sums of tensors of any rank become copy/axpy over the flat
-column-major buffers, one pass per addend: the first addend writes the
-destination with the kernel's beta 0, which does not read it, so no
-destination is zero-filled first (only ger, whose BLAS routine has no
-beta, needs that).  A ``beta*dest`` addend beside one gemv/gemm or one
-scaled leaf becomes that kernel's beta, in either position.  A product
+them; every well-formed statement does, so there is one way to run a
+statement: walk, lower, then ``op.fn(*op.args)`` for each op.  Scaled
+sums of tensors of any rank become copy/axpy over the flat column-major
+buffers (a transposed matrix through axpy's ``trans``), one pass per
+addend: the first addend writes the destination with the kernel's beta
+0, which does not read it, so no destination is zero-filled first.  The
+destination as an addend folds its coefficients into that first
+kernel's beta, in any position (``3*C`` alone is an axpy with alpha 0);
+another view of its storage is read from a temporary.  A product
 factor that is itself a product or a sum is computed first into a
 temporary tensor (counted in ``log().allocations``), following the
 tree's own parenthesization: ``A*B*A`` is a gemm into a temporary, then
 a gemm.  A temporary starts zeroed, as ``evaluate``'s result does, and
-its addends accumulate into it.  Well-formed statements with no kernel
-route, and those where the destination appears as an addend beside
-anything else, fall back to a naive recursive evaluation; they never
-raise.  A statement that mixes float32 and float64 raises
-TypeError before anything is allocated or written.  Each lowered op
-carries its ``kernels.*`` call, so running a statement is one loop of
-calls.
+its addends accumulate into it.  A scalar-valued factor is computed
+first, by dots, and scales the side it multiplies.  A statement that
+mixes float32 and float64 raises TypeError before anything is allocated
+or written.
 
 Expression trees hold tensor references, never copies, and are only
 valid for the duration of the statement that builds them.
@@ -414,22 +414,17 @@ class LoweredOp:
     """One kernel call of a lowered statement, carrying its call.
 
     ``fn`` is the ``kernels.<kernel>`` function as looked up when the
-    statement was lowered, ``args`` its positional arguments in that
-    public signature: running the op is ``fn(*args)``.  A ``fallback``
-    op's ``fn`` is the naive evaluator.  ``pre_zero`` asks the executor
-    to zero-fill the destination (the last argument) first; only a ger
-    at beta 0 sets it, since BLAS's ger has no beta, while copy, axpy,
-    gemv and gemm write a beta-0 destination without reading it.
-    ``alpha`` scales a dot's value.  Ops call ``kernels.*``, not a
-    backend routine resolved here, because that is where every call is
-    checked and logged, and where a wrapper installed on the module (a
-    tracer) sees it."""
+    statement was lowered, ``args`` all its positional arguments in that
+    public signature: running the op is ``fn(*args)``.  ``alpha`` scales
+    a dot's value.  Ops call ``kernels.*``, not a backend routine resolved
+    here, because that is where every call is checked and logged, and
+    where a wrapper installed on the module (a tracer) sees it."""
 
     __slots__ = ("kernel", "fn", "args", "alpha", "beta", "trans_a",
-                 "trans_b", "pre_zero")
+                 "trans_b")
 
     def __init__(self, kernel, fn, args, alpha=1.0, beta=0.0, trans_a=False,
-                 trans_b=False, pre_zero=False):
+                 trans_b=False):
         self.kernel = kernel
         self.fn = fn
         self.args = args
@@ -437,7 +432,6 @@ class LoweredOp:
         self.beta = beta
         self.trans_a = trans_a
         self.trans_b = trans_b
-        self.pre_zero = pre_zero
 
     def __repr__(self):
         return (f"LoweredOp({self.kernel}, alpha={self.alpha}, beta={self.beta}, "
@@ -445,23 +439,46 @@ class LoweredOp:
 
 
 def _temporary(n, kind, ops):
-    """A leaf for product factor ``n``: a fresh tensor of ``n``'s kind,
-    filled by the ops appended to ``ops``.  Like ``evaluate``'s result, it
-    starts zeroed and is accumulated into."""
+    """A leaf for ``n`` (a product factor, or an addend that overlaps the
+    destination): a fresh tensor of ``kind``, filled by the ops appended
+    to ``ops``.  Like ``evaluate``'s result, it starts zeroed and is
+    accumulated into."""
     extents, covector = kind
     tmp = Tensor(len(extents), *extents, dtype=_expr_dtype(n))
     _lower_sum(tmp, n, 1.0, ops)
     return Term(1.0, tmp, covector)
 
 
+def _scalar_value(n):
+    """The value of scalar-valued ``n``, computed now: each inner product
+    by the ops of a dot, literals and the sums and products of scalars as
+    floats."""
+    t = type(n)
+    if t is Literal:
+        return n.value
+    if t is Sum:
+        return _scalar_value(n.left) + _scalar_value(n.right)
+    if n.plan[0] is None:
+        return _scalar_value(n.left) * _scalar_value(n.right)
+    ops = _lower_product(n, None, 0.0, [])
+    return ops[-1].alpha * _execute(ops)
+
+
 def _lower_product(n, dest, beta, ops):
     """Append to ``ops`` the kernel calls for ``dest <- n + beta*dest``
-    (the value of a dot when ``dest`` is None), factors first.  Returns
-    False, appending nothing, when ``n`` has no kernel route: a factor is
-    scalar-valued, or a ger would need a beta other than 0 or 1."""
+    (the value of a dot when ``dest`` is None), factors first, and
+    returns ``ops``.  A scalar-valued factor is computed here, by dots,
+    and scales the other side, which is then lowered like an addend: it
+    sits in a product, so the walk has proved that it does not read
+    ``dest``."""
     kernel, lk, rk = n.plan
-    if kernel is None or kernel == "ger" and beta != 0.0 and beta != 1.0:
-        return False
+    if kernel is None:
+        if lk is None:
+            side = n.right._scaled(_scalar_value(n.left))
+        else:
+            side = n.left._scaled(_scalar_value(n.right))
+        _walk(side, None, None, None)  # plans for the scaled products
+        return _lower_sum(dest, side, beta, ops)
     l, r = n.left, n.right
     if type(l) is not Term:
         l = _temporary(l, lk, ops)
@@ -478,46 +495,74 @@ def _lower_product(n, dest, beta, ops):
         op = LoweredOp("gemv", kernels.gemv, (ta, alpha, x, y, beta, dest),
                        alpha, beta, ta)
     elif kernel == "ger":
-        op = LoweredOp("ger", kernels.ger, (alpha, x, y, dest), alpha, 0.0,
-                       False, False, beta == 0.0)
+        op = LoweredOp("ger", kernels.ger, (alpha, x, y, dest, beta), alpha,
+                       beta)
     else:
         op = LoweredOp("dot", kernels.dot, (x, y), alpha)
     ops.append(op)
-    return True
-
-
-def _lower_scalar(n):
-    ops = []
-    if type(n) is Product and _lower_product(n, None, 0.0, ops):
-        return ops  # a scalar-valued product of tensors: a dot
-    return [LoweredOp("fallback", _fallback, (n, None, False))]
+    return ops
 
 
 def _lower_sum(dest, n, beta, ops):
-    """Append to ``ops`` the ops for ``dest <- n + beta*dest``, beta 0 or
-    1, where ``dest``'s storage does not occur in ``n``: one addend after
-    the other, the first with ``beta``, the rest accumulating, so each
-    addend is one pass over ``dest``.  A scaled leaf works on the flat
+    """Append to ``ops`` the ops for ``dest <- n + beta*dest``, where
+    ``dest``'s storage does not occur in ``n``: one addend after the
+    other, the first with ``beta``, the rest accumulating, so each addend
+    is one pass over ``dest``.  A scaled leaf works on the flat
     column-major buffers, whatever its rank: a copy, or an axpy with the
     addend's beta (at beta 0 it writes ``coef*x`` without reading
-    ``dest``); a transposed matrix has no such route.  Returns
+    ``dest``), with ``trans`` for a transposed matrix.  Returns
     ``ops``."""
     t = type(n)
     if t is Sum:
         _lower_sum(dest, n.left, beta, ops)
         return _lower_sum(dest, n.right, 1.0, ops)
-    if t is Term:
-        if not n.trans or len(n.tensor.extents) == 1:
-            if beta == 0.0 and n.coef == 1.0:
-                ops.append(LoweredOp("copy", kernels.copy, (n.tensor, dest)))
-            else:
-                ops.append(LoweredOp("axpy", kernels.axpy,
-                                     (n.coef, n.tensor, dest, beta), n.coef,
-                                     beta))
-            return ops
-    elif t is Product and _lower_product(n, dest, beta, ops):
-        return ops
-    ops.append(LoweredOp("fallback", _fallback, (n, dest, beta != 0.0)))
+    if t is not Term:
+        return _lower_product(n, dest, beta, ops)
+    if n.trans and len(n.tensor.extents) == 2:
+        ops.append(LoweredOp("axpy", kernels.axpy,
+                             (n.coef, n.tensor, dest, beta, True), n.coef,
+                             beta, True))
+    elif beta == 0.0 and n.coef == 1.0:
+        ops.append(LoweredOp("copy", kernels.copy, (n.tensor, dest)))
+    else:
+        ops.append(LoweredOp("axpy", kernels.axpy,
+                             (n.coef, n.tensor, dest, beta, False), n.coef,
+                             beta))
+    return ops
+
+
+def _addends(n, out):
+    if type(n) is Sum:
+        _addends(n.left, out)
+        return _addends(n.right, out)
+    out.append(n)
+    return out
+
+
+def _lower_dest_sum(dest, n, beta, shared):
+    """The ops for ``dest <- n + beta*dest`` where the leaves in ``shared``
+    overlap ``dest`` in additive positions: ``dest <- beta'*dest + (the
+    other addends)``.  Each ``c*dest`` addend (a transposed vector is the
+    same buffer) folds ``c`` into ``beta'``, which the first other addend
+    carries as its kernel's beta; the rest accumulate.  Any other
+    overlapping leaf (``dest`` transposed, another view of its storage)
+    is first evaluated into a temporary, before anything writes
+    ``dest``.  With no other addend, ``dest`` is scaled by an axpy with
+    alpha 0, which does not read its ``x``."""
+    ops, others = [], []
+    for a in _addends(n, []):
+        if type(a) is Term and a in shared:
+            if a.tensor is dest and (not a.trans or len(dest.extents) == 1):
+                beta += a.coef
+                continue
+            a = _temporary(a, (dest.extents, False), ops)
+        others.append(a)
+    if not others:
+        ops.append(LoweredOp("axpy", kernels.axpy,
+                             (0.0, dest, dest, beta, False), 0.0, beta))
+    for a in others:
+        _lower_sum(dest, a, beta, ops)
+        beta = 1.0
     return ops
 
 
@@ -526,14 +571,17 @@ def lower(e, dest=None, mode="assign"):
     ``kernels.*`` call that runs it.
 
     One walk checks shapes, element types and the destination's storage
-    before any temporary is allocated.  With no destination, a scalar
-    kind lowers to a dot or a scalar fallback; tensor kinds require
-    ``dest``.  Each addend of a sum becomes copy/axpy (scaled leaves of
-    any rank) or one gemv/ger/gemm; a ``beta*dest`` addend beside one
-    gemv/gemm or one untransposed scaled leaf becomes that kernel's
-    beta.  A product factor that is not a leaf is lowered first, in the
-    tree's own parenthesization, into a temporary allocated here.  What
-    has no kernel route becomes a ``fallback`` op.
+    before any temporary is allocated.  With no destination, only an
+    inner product has ops (a dot, after the ops of non-leaf factors);
+    any other scalar raises UnsupportedOperationError (``evaluate``
+    computes it), and tensor kinds require ``dest``.  Each addend of a
+    sum becomes copy/axpy (scaled leaves of any rank, transposed
+    matrices too) or one gemv/ger/gemm.  ``c*dest`` addends fold into
+    the first other addend's kernel beta, and other leaves that overlap
+    ``dest`` are read from a temporary.  A product factor that is
+    not a leaf is lowered first, in the tree's own parenthesization,
+    into a temporary allocated here; a scalar-valued factor is computed
+    here, by dots, and scales the other side.
     """
     if mode != "assign" and mode != "accumulate":
         raise ValueError(f"mode must be 'assign' or 'accumulate', not {mode!r}")
@@ -542,7 +590,11 @@ def lower(e, dest=None, mode="assign"):
         if _walk(n, None, _expr_dtype(n), None) is not None:
             raise ShapeError(
                 "tensor-kind expression needs a destination to lower into")
-        return _lower_scalar(n)
+        if type(n) is not Product or n.plan[0] != "dot":
+            raise UnsupportedOperationError(
+                "only an inner product lowers to kernel calls without a "
+                "destination; evaluate computes any scalar")
+        return _lower_product(n, None, 0.0, [])
     shared = []
     kind = _walk(n, dest, dest._data.dtype, shared)
     if kind is None:
@@ -555,118 +607,16 @@ def lower(e, dest=None, mode="assign"):
     beta = 1.0 if mode == "accumulate" else 0.0
     if not shared:
         return _lower_sum(dest, n, beta, [])
-    # dest in an additive position: the beta of the one kernel call for
-    # the other addend, or evaluated alias-safe
-    d = shared[0]
-    if (len(shared) == 1 and type(n) is Sum and d.tensor is dest
-            and not d.trans):
-        other = n.right if d is n.left else n.left if d is n.right else None
-        t, b = type(other), d.coef + beta
-        if t is Term and not other.trans:
-            return [LoweredOp("axpy", kernels.axpy,
-                              (other.coef, other.tensor, dest, b),
-                              other.coef, b)]
-        ops = []
-        if t is Product and _lower_product(other, dest, b, ops):
-            return ops
-    return [LoweredOp("fallback", _fallback, (n, dest, beta != 0.0))]
-
-
-# ---------------------------------------------------------------------------
-# naive recursive evaluation (catch-all fallback)
-
-
-def _eval_naive(n):
-    """Element-wise recursive evaluation with no kernel dispatch.
-
-    Returns a float, a numpy array, or ('cov', 1-D array) for a
-    transposed vector.
-    """
-    t = type(n)
-    if t is Literal:
-        return n.value
-    if t is Term:
-        arr = n.coef * n.tensor.column_view()
-        if n.tensor.rank == 1 and n.trans:
-            return ("cov", arr)
-        if n.tensor.rank == 2 and n.trans:
-            return arr.T
-        return arr
-    left = _eval_naive(n.left)
-    right = _eval_naive(n.right)
-    if t is Sum:
-        if _is_cov(left) and _is_cov(right):
-            return ("cov", left[1] + right[1])
-        return left + right
-    return _naive_mul(left, right)
-
-
-def _is_cov(v):
-    return isinstance(v, tuple) and v and v[0] == "cov"
-
-
-def _naive_mul(left, right):
-    if isinstance(left, float):
-        if _is_cov(right):
-            return ("cov", left * right[1])
-        return left * right
-    if isinstance(right, float):
-        if _is_cov(left):
-            return ("cov", right * left[1])
-        return right * left
-    if _is_cov(left) and isinstance(right, np.ndarray) and right.ndim == 1:
-        s = 0.0
-        for a, b in zip(left[1].tolist(), right.tolist()):
-            s += a * b
-        return s
-    if isinstance(left, np.ndarray) and left.ndim == 1 and _is_cov(right):
-        return np.multiply.outer(left, right[1])
-    if isinstance(left, np.ndarray) and left.ndim == 2:
-        if isinstance(right, np.ndarray) and right.ndim == 1:
-            acc = np.zeros(left.shape[0], dtype=left.dtype)
-            for j in range(left.shape[1]):
-                acc += left[:, j] * right[j]
-            return acc
-        if isinstance(right, np.ndarray) and right.ndim == 2:
-            acc = np.zeros((left.shape[0], right.shape[1]), dtype=left.dtype)
-            for p in range(left.shape[1]):
-                acc += np.multiply.outer(left[:, p], right[p, :])
-            return acc
-    raise ShapeError("naive evaluation hit an unsupported operand pairing")
+    return _lower_dest_sum(dest, n, beta, shared)
 
 
 # ---------------------------------------------------------------------------
 # execution
 
 
-def _fallback(n, dest, accumulate):
-    """Evaluate ``n`` naively, alias-safe, then write it to ``dest``, or
-    return it when ``dest`` is None."""
-    value = _eval_naive(n)
-    if dest is None:
-        if _is_cov(value):
-            raise ShapeError("a bare transposed vector has no scalar value")
-        kernels.log().record("fallback", ())
-        return float(value)
-    kernels.log().record("fallback", (dest.extents,))
-    view = dest.column_view()
-    if _is_cov(value):
-        value = value[1]
-    if accumulate:
-        view += value
-    else:
-        view[...] = value
-    kernels.log().element_writes += dest.size
-
-
 def _execute(ops):
-    """Run the ops in order; the value of the last (a float for a dot or
-    a scalar fallback)."""
+    """Run the ops in order; the value of the last (a float for a dot)."""
     for op in ops:
-        if op.pre_zero:
-            dest = op.args[-1]
-            dest._data.fill(0.0)
-            kernels.log().element_writes += dest.size
         value = op.fn(*op.args)
     return value
 
@@ -688,8 +638,7 @@ def evaluate(e):
     dt = _expr_dtype(n)
     kind = _walk(n, None, dt, None)
     if kind is None:
-        ops = _lower_scalar(n)
-        return ops[-1].alpha * _execute(ops)
+        return _scalar_value(n)
     extents = kind[0]
     dest = Tensor(len(extents), *extents, dtype=dt)
     _execute(_lower_sum(dest, n, 1.0, []))

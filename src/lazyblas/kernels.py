@@ -15,15 +15,21 @@ one backend call per kernel.  Two backends ship in-tree:
 * ``external-blas`` -- thin binding to an optimized BLAS through
   ``scipy.linalg.blas``.  Registered only when scipy imports cleanly.
 
-axpy, gemv and gemm take BLAS's beta: ``y <- alpha*x + beta*y`` for axpy
-(the AXPBY of the BLAS Technical Forum standard).  Beta 0 means the
-destination need not be set on input: it is never read, so NaNs in it do
-not reach the result, and a beta-0 axpy is one multiply pass.
+axpy, gemv, ger and gemm take BLAS's beta: ``y <- alpha*x + beta*y``
+for axpy (the AXPBY of the BLAS Technical Forum standard) and
+``a <- alpha*x*yT + beta*a`` for ger, whose BLAS routine has none.  Beta
+0 means the destination need not be set on input: it is never read, so
+NaNs in it do not reach the result, and a beta-0 axpy is one multiply
+pass.  axpy's ``trans`` reads a matrix ``x`` transposed; that is done in
+numpy on both backends, as scipy exposes no transposing copy
+(``omatcopy``).
 
-Operands with a zero extent make a kernel a no-op (no element is
-written, the call is still logged), except that gemv and gemm with an
-empty contraction still apply beta to the destination, as BLAS does:
-zero for beta 0, unchanged for beta 1, scaled otherwise.
+Alpha 0 reads no operand but the destination, at any beta, as BLAS
+does: the destination becomes ``beta*dest`` (zeros for beta 0, no write
+for beta 1), whatever ``x``, ``y`` or ``a`` and ``b`` hold.  Operands
+with a zero extent make a kernel a no-op (no element is written, the
+call is still logged), except that gemv and gemm with an empty
+contraction apply beta to the destination in the same way.
 """
 
 from __future__ import annotations
@@ -113,10 +119,10 @@ _intern = _interned.setdefault
 class CallLog:
     """Append-only instrumentation attached to kernel dispatch.
 
-    ``records`` holds one :class:`CallRecord` per kernel call and
-    fallback loop; ``element_writes`` counts destination elements written
-    by kernels and fallback loops; ``allocations`` counts tensor buffer
-    allocations.  Reset is explicit.
+    ``records`` holds one :class:`CallRecord` per kernel call;
+    ``element_writes`` counts destination elements written by kernels;
+    ``allocations`` counts tensor buffer allocations.  Reset is
+    explicit.
     """
 
     records: CallRecords = field(default_factory=CallRecords)
@@ -219,20 +225,20 @@ class NaiveBackend:
         else:
             y[...] = alpha * acc + beta * y
 
-    def ger(self, alpha, x, y, a):
-        a += alpha * np.multiply.outer(x, y)
+    def ger(self, alpha, x, y, a, beta):
+        update = alpha * np.multiply.outer(x, y)
+        if beta == 0.0:
+            a[...] = update
+        elif beta == 1.0:
+            a += update
+        else:
+            a[...] = update + beta * a
 
     def gemm(self, trans_a, trans_b, alpha, a, b, beta, c):
         opa = a.T if trans_a else a
         opb = b.T if trans_b else b
         m, k = opa.shape
         n = opb.shape[1]
-        if alpha == 0.0:
-            if beta == 0.0:
-                c[...] = 0.0
-            else:
-                c[...] = beta * c
-            return
         acc = np.zeros((m, n), dtype=a.dtype)
         for p in range(k):
             acc += np.multiply.outer(opa[:, p], opb[p, :])
@@ -273,8 +279,10 @@ class ScipyBlasBackend:
     copy = NaiveBackend.copy
 
     def axpy(self, alpha, x, y, beta):
-        if beta == 0.0:  # scipy exposes no axpby: one numpy pass
-            np.multiply(x, alpha, out=y)
+        if beta == 0.0 or x.ndim != 1:
+            # scipy exposes no axpby (one numpy pass) and no transposing
+            # copy
+            NaiveBackend.axpy(self, alpha, x, y, beta)
             return
         if beta != 1.0:
             y *= beta
@@ -294,7 +302,11 @@ class ScipyBlasBackend:
         if res is not y:
             y[...] = res
 
-    def ger(self, alpha, x, y, a):
+    def ger(self, alpha, x, y, a, beta):
+        if beta == 0.0:  # BLAS's ger has no beta
+            a.fill(0.0)
+        elif beta != 1.0:
+            a *= beta
         # (alpha, x, y, incx, incy, a, overwrite_x, overwrite_y, overwrite_a)
         res = self._ger[a.dtype](alpha, x, y, 1, 1, a, 0, 0, 1)
         if res is not a:
@@ -359,10 +371,10 @@ def _mixed_types(*tensors):
             raise TypeError(f"mixed element types: {dt} vs {t.dtype}")
 
 
-def _empty_contraction(view, beta, size) -> None:
-    """view <- beta*view, as BLAS does when the inner dimension is zero:
-    a zero fill for beta 0 (the old values are not read), no write for
-    beta 1."""
+def _scale_only(view, beta, size) -> None:
+    """view <- beta*view, reading no other operand, as BLAS does for alpha
+    0 or an empty contraction: a zero fill for beta 0 (the old values are
+    not read), no write for beta 1."""
     if beta == 1.0:
         return
     if beta == 0.0:
@@ -388,27 +400,39 @@ def copy(x, dest) -> None:
     _active_log.element_writes += size
 
 
-def axpy(alpha, x, y, beta=1.0) -> None:
-    """y <- alpha*x + beta*y for tensors of equal extents, any rank.
+def axpy(alpha, x, y, beta=1.0, trans=False) -> None:
+    """y <- alpha*op(x) + beta*y for tensors of equal extents, any rank.
 
     Works on the flat column-major buffers: every tensor is a vector in
-    storage order.  Beta 0 does not read ``y``: one pass writes
-    ``alpha*x``.  Beta 1 is the plain BLAS axpy; any other beta scales
-    ``y`` first.  The call-log row carries beta unless it is 1.
+    storage order.  ``trans`` reads matrix ``x`` transposed, so ``y``'s
+    extents are ``x``'s reversed.  Beta 0 does not read ``y``: one pass
+    writes ``alpha*x``.  Beta 1 is the plain BLAS axpy; any other beta
+    scales ``y`` first.  Alpha 0 does not read ``x``.  The call-log row
+    carries beta unless it is 1, and trans ``(True,)`` when set.
     """
     xd, yd = x._data, y._data
     if xd.dtype is not yd.dtype:
         _mixed_types(x, y)
     xe = x.extents
+    if trans:
+        if len(xe) != 2:
+            raise ShapeError(f"axpy: trans needs a matrix, x has extents {xe}")
+        xe = (xe[1], xe[0])
     if xe != y.extents:
         raise ShapeError(f"axpy: shape mismatch {xe} vs {y.extents}")
-    shapes = (xe, xe)
+    shapes, flags = (x.extents, xe), (True,) if trans else ()
     _rows.append(("axpy", _intern(shapes, shapes), alpha,
-                  None if beta == 1.0 else beta, ()))
+                  None if beta == 1.0 else beta, flags))
     size = xd.shape[0]
     if size == 0:
         return
-    _current.axpy(alpha, xd, yd, beta)
+    if alpha == 0.0:
+        _scale_only(yd, beta, size)
+        return
+    if trans:
+        _current.axpy(alpha, x._view.T, y._view, beta)
+    else:
+        _current.axpy(alpha, xd, yd, beta)
     _active_log.element_writes += size
 
 
@@ -440,8 +464,8 @@ def nrm2(x) -> float:
 
 
 def gemv(trans, alpha, a, x, beta, y) -> None:
-    """y <- alpha*op(a)*x + beta*y.  An empty contraction leaves
-    beta*y."""
+    """y <- alpha*op(a)*x + beta*y.  Alpha 0 or an empty contraction
+    leaves beta*y."""
     dt = a._data.dtype
     if x._data.dtype is not dt or y._data.dtype is not dt:
         _mixed_types(a, x, y)
@@ -459,15 +483,16 @@ def gemv(trans, alpha, a, x, beta, y) -> None:
                   _intern(flags, flags)))
     if rows == 0:
         return
-    if cols == 0:
-        _empty_contraction(y._data, beta, rows)
+    if cols == 0 or alpha == 0.0:
+        _scale_only(y._data, beta, rows)
         return
     _current.gemv(trans, alpha, a._view, x._data, beta, y._data)
     _active_log.element_writes += rows
 
 
-def ger(alpha, x, y, a) -> None:
-    """a <- alpha * x yT + a (rank-1 update)."""
+def ger(alpha, x, y, a, beta=1.0) -> None:
+    """a <- alpha*x*yT + beta*a (rank-1 update).  The call-log row
+    carries beta unless it is 1."""
     dt = a._data.dtype
     if x._data.dtype is not dt or y._data.dtype is not dt:
         _mixed_types(x, y, a)
@@ -479,17 +504,21 @@ def ger(alpha, x, y, a) -> None:
             f"ger: A is {ae}, outer product is ({xe[0]}, {ye[0]})"
         )
     shapes = (xe, ye, ae)
-    _rows.append(("ger", _intern(shapes, shapes), alpha, None, ()))
+    _rows.append(("ger", _intern(shapes, shapes), alpha,
+                  None if beta == 1.0 else beta, ()))
     size = ae[0] * ae[1]
     if size == 0:
         return
-    _current.ger(alpha, x._data, y._data, a._view)
+    if alpha == 0.0:
+        _scale_only(a._data, beta, size)
+        return
+    _current.ger(alpha, x._data, y._data, a._view, beta)
     _active_log.element_writes += size
 
 
 def gemm(trans_a, trans_b, alpha, a, b, beta, c) -> None:
-    """c <- alpha*op(a)*op(b) + beta*c.  An empty contraction leaves
-    beta*c; alpha 0 with beta 1 writes nothing."""
+    """c <- alpha*op(a)*op(b) + beta*c.  Alpha 0 or an empty contraction
+    leaves beta*c."""
     dt = a._data.dtype
     if b._data.dtype is not dt or c._data.dtype is not dt:
         _mixed_types(a, b, c)
@@ -507,10 +536,8 @@ def gemm(trans_a, trans_b, alpha, a, b, beta, c) -> None:
                   _intern(flags, flags)))
     if m == 0 or n == 0:
         return
-    if ka == 0:
-        _empty_contraction(c._data, beta, m * n)
-        return
-    if alpha == 0.0 and beta == 1.0:
+    if ka == 0 or alpha == 0.0:
+        _scale_only(c._data, beta, m * n)
         return
     _current.gemm(trans_a, trans_b, alpha, a._view, b._view, beta, c._view)
     _active_log.element_writes += m * n

@@ -85,10 +85,21 @@ CASES = [
          lambda o: assign(o.y, o.x + (-1.0) * o.y),
          lambda o: K.axpy(1.0, o.x, o.y, -1.0)),
     # y += x - y: the betas cancel to 0, so y is not read and the result
-    # is exactly x, NaNs in y or not
-    case("axpy-acc-cancel", "axpy", VEC, "y",
+    # is exactly x, NaNs in y or not: an unscaled addend at beta 0 is a
+    # copy
+    case("copy-acc-cancel", "copy", VEC, "y",
          lambda o: accumulate(o.y, o.x + (-1.0) * o.y),
-         lambda o: K.axpy(1.0, o.x, o.y, 0.0), nan=True),
+         lambda o: K.copy(o.x, o.y), nan=True),
+    # the destination alone: alpha 0 does not read x
+    case("axpy-dest-only", "axpy", VEC, "y",
+         lambda o: assign(o.y, 3.0 * o.y),
+         lambda o: K.axpy(0.0, o.y, o.y, 3.0)),
+    case("axpy-T", "axpy", {"a": (3, 4), "c": (4, 3)}, "c",
+         lambda o: assign(o.c, 2.0 * transpose(o.a)),
+         lambda o: K.axpy(2.0, o.a, o.c, 0.0, True), nan=True),
+    case("axpy-T-destfirst", "axpy", {"a": (3, 4), "c": (4, 3)}, "c",
+         lambda o: assign(o.c, 0.5 * o.c + transpose(o.a)),
+         lambda o: K.axpy(1.0, o.a, o.c, 0.5, True)),
     case("dot", "dot", VEC, None,
          lambda o: evaluate(transpose(o.x) * o.y),
          lambda o: K.dot(o.x, o.y)),
@@ -104,6 +115,12 @@ CASES = [
     case("ger", "ger", GER, "a",
          lambda o: accumulate(o.a, 0.5 * o.x * transpose(o.y)),
          lambda o: K.ger(0.5, o.x, o.y, o.a)),
+    case("ger-beta0", "ger", GER, "a",
+         lambda o: assign(o.a, 0.5 * o.x * transpose(o.y)),
+         lambda o: K.ger(0.5, o.x, o.y, o.a, 0.0), nan=True),
+    case("ger-beta2", "ger", GER, "a",
+         lambda o: assign(o.a, 2.0 * o.a + 0.5 * o.x * transpose(o.y)),
+         lambda o: K.ger(0.5, o.x, o.y, o.a, 2.0)),
     case("gemm", "gemm", GEMM, "c",
          lambda o: assign(o.c, 0.5 * o.a * o.b + 0.25 * o.c),
          lambda o: K.gemm(False, False, 0.5, o.a, o.b, 0.25, o.c)),
@@ -203,7 +220,8 @@ def test_every_logged_row_passes_through_the_module_functions(
                     "copy", "axpy", "ger"]
     assert [name for name, _, _ in calls] == rows
     assert [name for name, _, _ in backend_calls] == rows
-    # the public arguments, by position, as a tracer reads them
+    # every public argument, by position, as a tracer reads them (ger's
+    # beta and axpy's trans too)
     for name, args, kwargs in calls:
         assert not kwargs and len(args) == arity[name]
 

@@ -209,7 +209,7 @@ def test_scaled_sum_makes_one_pass_per_addend(rng):
     assert log().element_writes == y.size
     ops = lower(2.0 * x, dest=y, mode="assign")
     assert [op.kernel for op in ops] == ["axpy"]
-    assert not ops[0].pre_zero and ops[0].args == (2.0, x, y, 0.0)
+    assert ops[0].args == (2.0, x, y, 0.0, False)
 
 
 @pytest.mark.parametrize("statement,mode,alpha,beta", [
@@ -224,7 +224,7 @@ def test_dest_beside_one_scaled_leaf_is_the_axpy_beta(
     want = alpha * x.to_numpy() + beta * y.to_numpy()
     ops = lower(statement(x, y), dest=y, mode=mode)
     assert [op.kernel for op in ops] == ["axpy"]
-    assert ops[0].args == (alpha, x, y, beta)
+    assert ops[0].args == (alpha, x, y, beta, False)
     reset_log()
     (assign if mode == "assign" else accumulate)(y, statement(x, y))
     assert log().kernel_counts() == {"axpy": 1}
@@ -232,18 +232,46 @@ def test_dest_beside_one_scaled_leaf_is_the_axpy_beta(
     np.testing.assert_array_equal(y.to_numpy(), want)
 
 
-def test_dest_addend_without_a_leaf_route_keeps_the_fallback(rng):
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_dest_addends_fold_into_one_axpy_beta(rng, backend):
+    kernels.select_backend(backend)
     a, c = rand_tensor(rng, 3, 3), rand_tensor(rng, 3, 3)
-    for e in (3.0 * c,                # no other addend
-              transpose(a) + c,       # a transposed-matrix leaf
-              c + 2.0 * transpose(a)):
-        assert [op.kernel for op in lower(e, dest=c)] == ["fallback"]
+    for e, args in (
+            (3.0 * c, (0.0, c, c, 3.0, False)),  # no other addend
+            (transpose(a) + c, (1.0, a, c, 1.0, True)),  # transposed leaf
+            (c + 2.0 * transpose(a), (2.0, a, c, 1.0, True)),
+            (c + 0.5 * c + 2.0 * transpose(a), (2.0, a, c, 1.5, True))):
+        want = oracle_eval(normalize(e))
+        ops = lower(e, dest=c)
+        assert [op.kernel for op in ops] == ["axpy"]
+        assert ops[0].args == args
+        reset_log()
+        assign(c, e)
+        assert log().kernel_counts() == {"axpy": 1}
+        assert log().allocations == 0
+        np.testing.assert_allclose(c.to_numpy(), want, rtol=1e-15)
 
 
 def test_lower_dot(rng):
     x, y = rand_tensor(rng, 8), rand_tensor(rng, 8)
     ops = lower(transpose(x) * y)
     assert [op.kernel for op in ops] == ["dot"]
+
+
+def test_lower_without_destination_has_ops_only_for_a_dot(rng):
+    x, y = rand_tensor(rng, 4), rand_tensor(rng, 4)
+    a = rand_tensor(rng, 4, 4)
+    ops = lower(transpose(x) * (a * y))  # the temporary's ops come first
+    assert [op.kernel for op in ops] == ["gemv", "dot"]
+    for e in (lit(2.0),                                  # a bare literal
+              transpose(x) * y + transpose(y) * x,       # a sum of scalars
+              (transpose(x) * y) * (transpose(y) * x)):  # a scalar product
+        reset_log()
+        with pytest.raises(UnsupportedOperationError, match="evaluate"):
+            lower(e)
+        assert len(log().records) == 0
+        assert evaluate(e) == pytest.approx(oracle_eval(normalize(e)),
+                                            rel=1e-14)
 
 
 def test_lower_gemv_trans_and_beta(rng):
@@ -259,7 +287,15 @@ def test_lower_ger(rng):
     a = rand_tensor(rng, 4, 5)
     ops = lower(1.5 * x * transpose(y), dest=a, mode="assign")
     assert [op.kernel for op in ops] == ["ger"]
-    assert ops[0].alpha == 1.5 and ops[0].pre_zero
+    assert ops[0].alpha == 1.5 and ops[0].args == (1.5, x, y, a, 0.0)
+    a.column_view()[...] = np.nan  # beta 0: the kernel does not read a
+    reset_log()
+    assign(a, 1.5 * x * transpose(y))
+    assert log().element_writes == a.size
+    np.testing.assert_array_equal(
+        a.to_numpy(), 1.5 * np.multiply.outer(x.to_numpy(), y.to_numpy()))
+    ops = lower(1.5 * x * transpose(y) + 0.5 * a, dest=a, mode="accumulate")
+    assert [op.kernel for op in ops] == ["ger"] and ops[0].beta == 1.5
 
 
 def test_lower_gemm_folds_split_scalars(rng):
@@ -348,7 +384,9 @@ def test_additive_overlap_evaluates_alias_safe(rng):
     want = p.to_numpy() + 2.0 * q.to_numpy()
     reset_log()
     assign(d, p + 2.0 * q)  # a copy of p into d first would clobber q
-    assert log().kernel_counts() == {"fallback": 1}
+    # so 2q is first written to a temporary, then d is written
+    assert [r.kernel for r in log().records] == ["axpy", "copy", "axpy"]
+    assert log().allocations == 1
     np.testing.assert_allclose(d.to_numpy(), want, rtol=1e-15)
 
 
@@ -372,7 +410,7 @@ def test_disjoint_halves_of_one_buffer_lower_to_kernels(rng):
     np.testing.assert_allclose(odd.to_numpy(), want, rtol=1e-14)
 
 
-def test_fallback_for_elementwise_matrix_add(rng):
+def test_matrix_sum_is_a_copy_and_an_axpy(rng):
     a, b, c = (rand_tensor(rng, 3, 3) for _ in range(3))
     ops = lower(a + b, dest=c, mode="assign")
     assert [op.kernel for op in ops] == ["copy", "axpy"]
@@ -381,19 +419,23 @@ def test_fallback_for_elementwise_matrix_add(rng):
                                rtol=1e-15)
 
 
-def test_fallback_totality_nested_product(rng):
+def test_nested_product_goes_through_a_temporary(rng):
     a = rand_tensor(rng, 3, 3)
     b = rand_tensor(rng, 3, 3)
     c = rand_tensor(rng, 3, 3)
     e = (a * b) * c  # nested product: no single kernel pattern
+    reset_log()
     out = evaluate(e)
+    assert log().kernel_counts() == {"gemm": 2}
     np.testing.assert_allclose(out.to_numpy(), result_as_numpy(oracle_eval(
         normalize(e))), rtol=1e-12)
 
 
-def test_fallback_rank3_scalar_ops(rng):
+def test_rank3_scaled_sum_is_axpys(rng):
     t = Tensor(3, 2, 2, 2, fill=lambda i, j, l: float(i + j + l))
+    reset_log()
     out = evaluate(2.0 * t + t)
+    assert log().kernel_counts() == {"axpy": 2}
     np.testing.assert_allclose(out.to_numpy(), 3.0 * t.to_numpy(), rtol=1e-15)
 
 
@@ -455,18 +497,23 @@ def test_iadd_gemv_single_kernel(rng):
     del want
 
 
-def test_scale_in_place_via_fallback(rng):
+def test_scale_in_place_is_one_axpy_with_alpha_zero(rng):
     c = rand_tensor(rng, 3, 3)
     before = c.to_numpy()
-    assign(c, 3.0 * c)  # dest in additive position: alias-safe fallback
+    reset_log()
+    assign(c, 3.0 * c)  # dest <- 3*dest: axpy(0, c, c, 3) does not read x
+    assert list(log().records) == [
+        kernels.CallRecord("axpy", ((3, 3), (3, 3)), 0.0, 3.0)]
+    assert log().allocations == 0
     np.testing.assert_allclose(c.to_numpy(), 3.0 * before, rtol=1e-15)
 
 
-def test_scalar_fallback_is_logged(rng):
+def test_sum_of_scalars_is_one_dot_per_addend(rng):
     x, y, z, w = (rand_tensor(rng, 5) for _ in range(4))
     reset_log()
     s = evaluate(transpose(x) * y + transpose(z) * w)  # no single dot
-    assert log().kernel_counts() == {"fallback": 1}
+    assert log().kernel_counts() == {"dot": 2}
+    assert log().allocations == 0
     want = x.to_numpy() @ y.to_numpy() + z.to_numpy() @ w.to_numpy()
     assert s == pytest.approx(want, rel=1e-14)
 
@@ -506,6 +553,8 @@ def test_gemm_result_single_allocation(rng):
 
 
 # -- random well-formed expression family ----------------------------------------
+
+KERNELS = {"copy", "axpy", "dot", "gemv", "ger", "gemm"}
 
 
 def _random_expr(rng, depth, max_extent=6):
@@ -558,5 +607,7 @@ def test_random_family_matches_oracle(rng):
     for _ in range(200):
         e, _ = _random_expr(rng, depth=int(rng.integers(1, 5)))
         want = oracle_eval(normalize(e))
+        reset_log()
         got = result_as_numpy(evaluate(e))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+        assert {r.kernel for r in log().records} <= KERNELS

@@ -109,6 +109,45 @@ def test_axpy_beta_is_axpby(backend, dtype, beta):
 
 @pytest.mark.parametrize("backend,dtype", BACKEND_DTYPES)
 @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+def test_axpy_alpha_zero_never_reads_x(backend, dtype, beta):
+    # as BLAS: y <- beta*y whatever x holds; zeros at beta 0, where the
+    # naive backend once gave 0*inf = NaN
+    select_backend(backend)
+    x, y = Tensor(1, 3, dtype=dtype), Tensor(1, 3, dtype=dtype)
+    x.column_view()[...] = [np.inf, 1.0, np.nan]
+    y.column_view()[...] = [1.0, -2.0, 3.0]
+    reset_log()
+    kernels.axpy(0.0, x, y, beta)
+    np.testing.assert_array_equal(y.to_numpy(), beta * np.array([1, -2, 3]))
+    assert log().element_writes == (0 if beta == 1.0 else 3)
+    assert list(log().records) == [kernels.CallRecord(
+        "axpy", ((3,), (3,)), 0.0, None if beta == 1.0 else beta)]
+
+
+@pytest.mark.parametrize("backend,dtype", BACKEND_DTYPES)
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+def test_axpy_trans_reads_a_matrix_transposed(backend, dtype, beta):
+    select_backend(backend)
+    a, c = Tensor(2, 2, 3, dtype=dtype), Tensor(2, 3, 2, dtype=dtype)
+    a.column_view()[...] = np.arange(6).reshape(2, 3) - 2
+    c.column_view()[...] = np.nan if beta == 0.0 else 3.0
+    want = 0.5 * a.to_numpy().T + (0.0 if beta == 0.0 else beta * 3.0)
+    reset_log()
+    kernels.axpy(0.5, a, c, beta, True)
+    np.testing.assert_array_equal(c.to_numpy(), want)
+    assert log().element_writes == 6
+    assert list(log().records) == [kernels.CallRecord(
+        "axpy", ((2, 3), (3, 2)), 0.5, None if beta == 1.0 else beta,
+        (True,))]
+    with pytest.raises(ShapeError):
+        kernels.axpy(1.0, a, Tensor(2, 2, 3, dtype=dtype), beta, True)
+    with pytest.raises(ShapeError):
+        kernels.axpy(1.0, vector(3, dtype=dtype), vector(3, dtype=dtype),
+                     beta, True)
+
+
+@pytest.mark.parametrize("backend,dtype", BACKEND_DTYPES)
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
 def test_axpy_zero_extents_log_and_write_nothing(backend, dtype, beta):
     select_backend(backend)
     x, y = Tensor(2, 3, 0, dtype=dtype), Tensor(2, 3, 0, dtype=dtype)
@@ -254,6 +293,26 @@ def test_ger_alpha_zero(rng):
     np.testing.assert_array_equal(a.to_numpy(), before)
 
 
+@pytest.mark.parametrize("backend,dtype", BACKEND_DTYPES)
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+def test_ger_beta(backend, dtype, beta):
+    # a <- alpha*x*yT + beta*a; beta 0 never reads a, so its NaNs stay out
+    select_backend(backend)
+    x, y = Tensor(1, 3, dtype=dtype), Tensor(1, 2, dtype=dtype)
+    a = Tensor(2, 3, 2, dtype=dtype)
+    x.column_view()[...] = [1.0, -2.0, 3.0]
+    y.column_view()[...] = [2.0, -1.0]
+    a.column_view()[...] = np.nan if beta == 0.0 else 3.0
+    want = 0.5 * np.outer([1, -2, 3], [2, -1]) + (
+        0.0 if beta == 0.0 else beta * 3.0)
+    reset_log()
+    kernels.ger(0.5, x, y, a, beta)
+    np.testing.assert_array_equal(a.to_numpy(), want)
+    assert log().element_writes == 6
+    assert list(log().records) == [kernels.CallRecord(
+        "ger", ((3,), (2,), (3, 2)), 0.5, None if beta == 1.0 else beta)]
+
+
 def test_ger_vs_loops(rng):
     x = rand_tensor(rng, 8)
     y = rand_tensor(rng, 5)
@@ -323,6 +382,26 @@ def test_gemm_and_gemv_empty_contraction_apply_beta(rng, backend):
         assert log().element_writes == (0 if beta == 1.0 else 12 + 3)
         np.testing.assert_array_equal(c.to_numpy(), want_c)
         np.testing.assert_array_equal(y.to_numpy(), want_y)
+
+
+@pytest.mark.parametrize("backend,dtype", BACKEND_DTYPES)
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+def test_alpha_zero_reads_only_the_destination(backend, dtype, beta):
+    # gemv, ger and gemm follow axpy: dest <- beta*dest, whatever the
+    # other operands hold
+    select_backend(backend)
+    bad = Tensor(2, 3, 3, fill=np.nan, dtype=dtype)
+    bad.column_view()[0, :] = np.inf
+    v = Tensor(1, 3, fill=np.inf, dtype=dtype)
+    for rank, run in (
+            (1, lambda d: kernels.gemv(False, 0.0, bad, v, beta, d)),
+            (2, lambda d: kernels.ger(0.0, v, v, d, beta)),
+            (2, lambda d: kernels.gemm(True, False, 0.0, bad, bad, beta, d))):
+        d = Tensor(rank, 3, fill=2.0, dtype=dtype)
+        reset_log()
+        run(d)
+        np.testing.assert_array_equal(d._data, np.full(d.size, beta * 2.0))
+        assert log().element_writes == (0 if beta == 1.0 else d.size)
 
 
 def test_gemm_alpha0_beta1_bit_unchanged(rng):

@@ -2,7 +2,8 @@
 
 Hypothesis draws product chains, sums that carry ``beta*dest`` in either
 position and scaled sums over tensors of any rank, with extents down to
-zero.  Each statement runs on every available backend in float32 and
+zero; the forms that once went to a naive evaluator are pinned to their
+kernel sequences.  Each statement runs on every available backend in float32 and
 float64 and is checked three ways: the value against ``_oracle.py``, the
 kernel sequence in the call log, and the temporaries in
 ``log().allocations``.
@@ -23,6 +24,7 @@ from lazyblas import (
     assign,
     evaluate,
     kernels,
+    lit,
     normalize,
     transpose,
 )
@@ -225,3 +227,56 @@ def test_assign_into_nan_destination_is_finite(backend, dtype):
         assert np.isfinite(got).all(), name
         np.testing.assert_array_equal(got, want, err_msg=name)
         assert kernel_sequence() == expected, name
+
+
+# -- the forms the naive evaluator used to serve --------------------------------------
+
+
+def _former_fallback_forms(ops):
+    """name -> (destination, expression, kernels when assigning, kernels
+    when accumulating, temporaries)."""
+    a, b, c = ops(3, 3), ops(3, 3), ops(3, 3)
+    x, y = ops(3), ops(3)
+    buf = ops(9)._data
+    d, q = Tensor.wrap((3, 3), buf), Tensor.wrap((3, 3), buf)
+    return {
+        "3c": (c, 3.0 * c, ["axpy"], ["axpy"], 0),
+        "0.5ab+0.25c+a": (c, 0.5 * a * b + 0.25 * c + a,
+                          ["gemm", "axpy"], ["gemm", "axpy"], 0),
+        "xyT+0.5c": (c, x * transpose(y) + 0.5 * c, ["ger"], ["ger"], 0),
+        "aT": (c, transpose(a), ["axpy"], ["axpy"], 0),
+        "a+bT": (c, a + transpose(b), ["copy", "axpy"], ["axpy", "axpy"], 0),
+        "cT": (c, transpose(c), ["axpy", "copy"], ["axpy", "axpy"], 1),
+        "(xTy)a": (c, (transpose(x) * y) * a, ["dot", "axpy"],
+                   ["dot", "axpy"], 0),
+        "p+2q, q a view of d": (d, a + 2.0 * q, ["axpy", "copy", "axpy"],
+                                ["axpy", "axpy", "axpy"], 1),
+    }
+
+
+@combos
+@pytest.mark.parametrize("mode", ["assign", "accumulate"])
+@pytest.mark.parametrize("form", sorted(_former_fallback_forms(
+    Operands(0, np.float64))))
+def test_former_fallback_forms_lower_to_kernels(backend, dtype, mode, form):
+    kernels.select_backend(backend)
+    dest, e, assigning, accumulating, temps = _former_fallback_forms(
+        Operands(11, dtype))[form]
+    got, want, allocated = run_statement(mode, e, dest, dtype)
+    np.testing.assert_array_equal(got, want)
+    assert kernel_sequence() == (assigning if mode == "assign"
+                                 else accumulating)
+    assert allocated == temps
+
+
+@combos
+def test_scalar_forms_evaluate_by_dots(backend, dtype):
+    kernels.select_backend(backend)
+    ops = Operands(12, dtype)
+    x, y, z = ops(3), ops(3), ops(3)
+    for e, expected in ((transpose(x) * y + transpose(z) * y, ["dot", "dot"]),
+                        (lit(2.0), [])):
+        got, want, temps = run_statement("evaluate", e, None, dtype)
+        assert isinstance(got, float) and got == want
+        assert kernel_sequence() == expected
+        assert temps == 0

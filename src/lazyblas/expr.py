@@ -17,22 +17,25 @@ reaches the backend as exactly one gemm call with ``transA`` set and
 
 A statement that fits no single kernel becomes a short sequence of
 them; every well-formed statement does, so there is one way to run a
-statement: walk, lower, then ``op.fn(*op.args)`` for each op.  Scaled
-sums of tensors of any rank become copy/axpy over the flat column-major
-buffers (a transposed matrix through axpy's ``trans``), one pass per
-addend: the first addend writes the destination with the kernel's beta
-0, which does not read it, so no destination is zero-filled first.  The
+statement: walk, lower, then ``op.fn(*op.args)`` for each op.  One
+routine lowers every sum, into the destination or into a temporary,
+and each product's op comes from its row of one table.  Scaled sums of
+tensors of any rank become copy/axpy over the flat column-major buffers
+(a transposed matrix through axpy's ``trans``), one pass per addend:
+the first addend writes the destination with the kernel's beta 0,
+which does not read it, so no destination is zero-filled first.  The
 destination as an addend folds its coefficients into that first
 kernel's beta, in any position (``3*C`` alone is an axpy with alpha 0);
 another view of its storage is read from a temporary.  A product
 factor that is itself a product or a sum is computed first into a
 temporary tensor (counted in ``log().allocations``), following the
 tree's own parenthesization: ``A*B*A`` is a gemm into a temporary, then
-a gemm.  A temporary starts zeroed, as ``evaluate``'s result does, and
-its addends accumulate into it.  A scalar-valued factor is computed
-first, by dots, and scales the side it multiplies.  A statement that
-mixes float32 and float64 raises TypeError before anything is allocated
-or written.
+a gemm.  A temporary, like ``evaluate``'s result (which is one), starts
+zeroed and its addends accumulate into it.  A scalar-valued factor is
+computed first, by dots, and scales the side it multiplies.  A
+statement that mixes float32 and float64 raises TypeError before
+anything is allocated or written, and so does one whose destination is
+not a Tensor.
 
 Expression trees hold tensor references, never copies, and are only
 valid for the duration of the statement that builds them.
@@ -209,7 +212,7 @@ class Sum(Node):
 
 class Product(Node):
     """``left * right``.  ``plan`` is set by the statement walk: the
-    product's kernel and its factors' kinds."""
+    product's op and its factors' kinds."""
 
     __slots__ = ("left", "right", "plan")
 
@@ -308,16 +311,28 @@ def normalize(e):
 # objects.
 
 # Product kernels by the signatures of the two factors, where a factor's
-# signature is its rank, or 0 for a covector: the kernel, what to call a
-# mismatch of the contracted extents (None: nothing is contracted), and
-# the extents of the result from the factors' extents (none: a scalar).
+# signature is its rank, or 0 for a covector: what to call a mismatch of
+# the contracted extents (None: nothing is contracted), the extents of
+# the result from the factors' extents (None: a scalar), and the op for
+# ``d <- a*l*r + b*d`` from the two leaves.  The op looks up
+# ``kernels.<name>`` as it is built, so that it calls a tracer's wrapper.
 _PRODUCTS = {
-    (0, 1): ("dot", "inner product of", lambda le, re: None),
-    (1, 0): ("ger", None, lambda le, re: ((le[0], re[0]), False)),
-    (2, 1): ("gemv", "matrix-vector product of",
-             lambda le, re: ((le[0],), False)),
-    (2, 2): ("gemm", "inner dimensions differ:",
-             lambda le, re: ((le[0], re[1]), False)),
+    (0, 1): ("inner product of", lambda le, re: None,
+             lambda a, l, r, b, d: LoweredOp(
+                 "dot", kernels.dot, (l.tensor, r.tensor), a)),
+    (1, 0): (None, lambda le, re: ((le[0], re[0]), False),
+             lambda a, l, r, b, d: LoweredOp(
+                 "ger", kernels.ger, (a, l.tensor, r.tensor, d, b), a, b)),
+    (2, 1): ("matrix-vector product of", lambda le, re: ((le[0],), False),
+             lambda a, l, r, b, d: LoweredOp(
+                 "gemv", kernels.gemv, (l.trans, a, l.tensor, r.tensor, b, d),
+                 a, b, l.trans)),
+    (2, 2): ("inner dimensions differ:",
+             lambda le, re: ((le[0], re[1]), False),
+             lambda a, l, r, b, d: LoweredOp(
+                 "gemm", kernels.gemm,
+                 (l.trans, r.trans, a, l.tensor, r.tensor, b, d), a, b,
+                 l.trans, r.trans)),
 }
 
 
@@ -344,8 +359,8 @@ def _walk(n, dest, dt, shared):
     additive position is appended to ``shared`` (None below a product).
     Overlap counts, not only identity; buffers that two tensors allocated
     themselves cannot overlap, so they skip the storage test.  Each
-    product gets its ``plan``: its kernel (None beside a scalar factor)
-    and its factors' kinds."""
+    product gets its ``plan``: its ``_PRODUCTS`` op (None beside a scalar
+    factor) and its factors' kinds."""
     t = type(n)
     if t is Term:
         x = n.tensor
@@ -390,10 +405,10 @@ def _walk(n, dest, dt, shared):
             )
         raise ShapeError(
             f"unsupported product between {_kind_str(lk)} and {_kind_str(rk)}")
-    kernel, mismatch, result = rule
+    mismatch, result, op = rule
     if mismatch is not None and le[-1] != re[0]:
         raise ShapeError(f"{mismatch} {_kind_str(lk)} and {_kind_str(rk)}")
-    n.plan = kernel, lk, rk
+    n.plan = op, lk, rk
     return result(le, re)
 
 
@@ -438,15 +453,14 @@ class LoweredOp:
                 f"trans=({self.trans_a}, {self.trans_b}))")
 
 
-def _temporary(n, kind, ops):
-    """A leaf for ``n`` (a product factor, or an addend that overlaps the
-    destination): a fresh tensor of ``kind``, filled by the ops appended
-    to ``ops``.  Like ``evaluate``'s result, it starts zeroed and is
-    accumulated into."""
-    extents, covector = kind
-    tmp = Tensor(len(extents), *extents, dtype=_expr_dtype(n))
+def _temporary(n, extents, dt, ops):
+    """A fresh tensor for the value of ``n`` (a product factor, a leaf
+    that overlaps the destination, or ``evaluate``'s result), counted in
+    ``log().allocations``: it starts zeroed and is accumulated into by
+    the ops appended to ``ops``."""
+    tmp = Tensor(len(extents), *extents, dtype=dt)
     _lower_sum(tmp, n, 1.0, ops)
-    return Term(1.0, tmp, covector)
+    return tmp
 
 
 def _scalar_value(n):
@@ -466,58 +480,51 @@ def _scalar_value(n):
 
 def _lower_product(n, dest, beta, ops):
     """Append to ``ops`` the kernel calls for ``dest <- n + beta*dest``
-    (the value of a dot when ``dest`` is None), factors first, and
-    returns ``ops``.  A scalar-valued factor is computed here, by dots,
-    and scales the other side, which is then lowered like an addend: it
-    sits in a product, so the walk has proved that it does not read
-    ``dest``."""
-    kernel, lk, rk = n.plan
-    if kernel is None:
+    (the value of a dot when ``dest`` is None), factors first, then the
+    op of its ``_PRODUCTS`` row, and returns ``ops``.  A scalar-valued
+    factor is computed here, by dots, and scales the other side, which is
+    then lowered like an addend: it sits in a product, so the walk has
+    proved that it does not read ``dest``."""
+    op, lk, rk = n.plan
+    if op is None:
         if lk is None:
             side = n.right._scaled(_scalar_value(n.left))
         else:
             side = n.left._scaled(_scalar_value(n.right))
         _walk(side, None, None, None)  # plans for the scaled products
-        return _lower_sum(dest, side, beta, ops)
+        _lower_sum(dest, side, beta, ops)
+        return ops
     l, r = n.left, n.right
     if type(l) is not Term:
-        l = _temporary(l, lk, ops)
+        l = Term(1.0, _temporary(l, lk[0], _expr_dtype(l), ops), lk[1])
     if type(r) is not Term:
-        r = _temporary(r, rk, ops)
-    x, y = l.tensor, r.tensor
-    alpha = l.coef * r.coef
-    if kernel == "gemm":
-        ta, tb = l.trans, r.trans
-        op = LoweredOp("gemm", kernels.gemm,
-                       (ta, tb, alpha, x, y, beta, dest), alpha, beta, ta, tb)
-    elif kernel == "gemv":
-        ta = l.trans
-        op = LoweredOp("gemv", kernels.gemv, (ta, alpha, x, y, beta, dest),
-                       alpha, beta, ta)
-    elif kernel == "ger":
-        op = LoweredOp("ger", kernels.ger, (alpha, x, y, dest, beta), alpha,
-                       beta)
-    else:
-        op = LoweredOp("dot", kernels.dot, (x, y), alpha)
-    ops.append(op)
+        r = Term(1.0, _temporary(r, rk[0], _expr_dtype(r), ops), rk[1])
+    ops.append(op(l.coef * r.coef, l, r, beta, dest))
     return ops
 
 
-def _lower_sum(dest, n, beta, ops):
-    """Append to ``ops`` the ops for ``dest <- n + beta*dest``, where
-    ``dest``'s storage does not occur in ``n``: one addend after the
-    other, the first with ``beta``, the rest accumulating, so each addend
-    is one pass over ``dest``.  A scaled leaf works on the flat
+def _lower_sum(dest, n, beta, ops, swaps=()):
+    """Append to ``ops`` the ops for ``dest <- n + beta*dest`` and return
+    the beta still owed: 1 once an op has written ``dest``.  So the first
+    addend that writes carries ``beta``, the rest accumulate, and each
+    addend is one pass over ``dest``.  A scaled leaf works on the flat
     column-major buffers, whatever its rank: a copy, or an axpy with the
     addend's beta (at beta 0 it writes ``coef*x`` without reading
-    ``dest``), with ``trans`` for a transposed matrix.  Returns
-    ``ops``."""
+    ``dest``), with ``trans`` for a transposed matrix.  ``swaps`` pairs
+    each leaf of ``n`` that overlaps ``dest``, in the walk's order, with
+    what replaces it: None for ``c*dest``, whose ``c`` is in ``beta``
+    already, or the temporary that holds its value."""
     t = type(n)
     if t is Sum:
-        _lower_sum(dest, n.left, beta, ops)
-        return _lower_sum(dest, n.right, 1.0, ops)
+        beta = _lower_sum(dest, n.left, beta, ops, swaps)
+        return _lower_sum(dest, n.right, beta, ops, swaps)
     if t is not Term:
-        return _lower_product(n, dest, beta, ops)
+        _lower_product(n, dest, beta, ops)
+        return 1.0
+    if swaps and n is swaps[0][0]:
+        n = swaps.pop(0)[1]
+        if n is None:
+            return beta
     if n.trans and len(n.tensor.extents) == 2:
         ops.append(LoweredOp("axpy", kernels.axpy,
                              (n.coef, n.tensor, dest, beta, True), n.coef,
@@ -528,42 +535,7 @@ def _lower_sum(dest, n, beta, ops):
         ops.append(LoweredOp("axpy", kernels.axpy,
                              (n.coef, n.tensor, dest, beta, False), n.coef,
                              beta))
-    return ops
-
-
-def _addends(n, out):
-    if type(n) is Sum:
-        _addends(n.left, out)
-        return _addends(n.right, out)
-    out.append(n)
-    return out
-
-
-def _lower_dest_sum(dest, n, beta, shared):
-    """The ops for ``dest <- n + beta*dest`` where the leaves in ``shared``
-    overlap ``dest`` in additive positions: ``dest <- beta'*dest + (the
-    other addends)``.  Each ``c*dest`` addend (a transposed vector is the
-    same buffer) folds ``c`` into ``beta'``, which the first other addend
-    carries as its kernel's beta; the rest accumulate.  Any other
-    overlapping leaf (``dest`` transposed, another view of its storage)
-    is first evaluated into a temporary, before anything writes
-    ``dest``.  With no other addend, ``dest`` is scaled by an axpy with
-    alpha 0, which does not read its ``x``."""
-    ops, others = [], []
-    for a in _addends(n, []):
-        if type(a) is Term and a in shared:
-            if a.tensor is dest and (not a.trans or len(dest.extents) == 1):
-                beta += a.coef
-                continue
-            a = _temporary(a, (dest.extents, False), ops)
-        others.append(a)
-    if not others:
-        ops.append(LoweredOp("axpy", kernels.axpy,
-                             (0.0, dest, dest, beta, False), 0.0, beta))
-    for a in others:
-        _lower_sum(dest, a, beta, ops)
-        beta = 1.0
-    return ops
+    return 1.0
 
 
 def lower(e, dest=None, mode="assign"):
@@ -574,14 +546,17 @@ def lower(e, dest=None, mode="assign"):
     before any temporary is allocated.  With no destination, only an
     inner product has ops (a dot, after the ops of non-leaf factors);
     any other scalar raises UnsupportedOperationError (``evaluate``
-    computes it), and tensor kinds require ``dest``.  Each addend of a
-    sum becomes copy/axpy (scaled leaves of any rank, transposed
-    matrices too) or one gemv/ger/gemm.  ``c*dest`` addends fold into
-    the first other addend's kernel beta, and other leaves that overlap
-    ``dest`` are read from a temporary.  A product factor that is
-    not a leaf is lowered first, in the tree's own parenthesization,
-    into a temporary allocated here; a scalar-valued factor is computed
-    here, by dots, and scales the other side.
+    computes it), and tensor kinds require ``dest``.  A statement with a
+    destination is one ``_lower_sum`` of ``e`` into it: each addend
+    becomes copy/axpy (scaled leaves of any rank, transposed matrices
+    too) or the ops of its product.  First, each ``c*dest`` addend (a
+    transposed vector is the same buffer) folds ``c`` into the beta that
+    the first other addend carries, and any other leaf that overlaps
+    ``dest`` is written to a temporary; with no other addend, an axpy
+    with alpha 0 scales ``dest``.  A product factor that is not a leaf is
+    lowered first, in the tree's own parenthesization, into a temporary
+    allocated here; a scalar-valued factor is computed here, by dots,
+    and scales the other side.
     """
     if mode != "assign" and mode != "accumulate":
         raise ValueError(f"mode must be 'assign' or 'accumulate', not {mode!r}")
@@ -590,7 +565,8 @@ def lower(e, dest=None, mode="assign"):
         if _walk(n, None, _expr_dtype(n), None) is not None:
             raise ShapeError(
                 "tensor-kind expression needs a destination to lower into")
-        if type(n) is not Product or n.plan[0] != "dot":
+        # a product of two tensor kinds with a scalar value is a dot
+        if type(n) is not Product or n.plan[0] is None:
             raise UnsupportedOperationError(
                 "only an inner product lowers to kernel calls without a "
                 "destination; evaluate computes any scalar")
@@ -605,9 +581,20 @@ def lower(e, dest=None, mode="assign"):
             f"extents {dest.extents}"
         )
     beta = 1.0 if mode == "accumulate" else 0.0
-    if not shared:
-        return _lower_sum(dest, n, beta, [])
-    return _lower_dest_sum(dest, n, beta, shared)
+    ops, swaps = [], []  # temporaries first: they read what dest holds
+    for a in shared:
+        if a.tensor is dest and (not a.trans or len(dest.extents) == 1):
+            beta += a.coef
+            swaps.append((a, None))
+        else:
+            tmp = _temporary(a, dest.extents, dest._data.dtype, ops)
+            swaps.append((a, Term(1.0, tmp)))
+    written = len(ops)
+    beta = _lower_sum(dest, n, beta, ops, swaps)
+    if len(ops) == written:  # every addend was c*dest
+        ops.append(LoweredOp("axpy", kernels.axpy,
+                             (0.0, dest, dest, beta, False), 0.0, beta))
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -639,20 +626,26 @@ def evaluate(e):
     kind = _walk(n, None, dt, None)
     if kind is None:
         return _scalar_value(n)
-    extents = kind[0]
-    dest = Tensor(len(extents), *extents, dtype=dt)
-    _execute(_lower_sum(dest, n, 1.0, []))
-    return dest
+    ops = []
+    result = _temporary(n, kind[0], dt, ops)
+    _execute(ops)
+    return result
 
 
 def assign(dest, e):
     """dest <- value of e."""
+    if type(dest) is not Tensor and not isinstance(dest, Tensor):
+        raise TypeError(
+            f"destination must be a Tensor, not {type(dest).__name__}")
     _execute(lower(e, dest, "assign"))
     return dest
 
 
 def accumulate(dest, e):
     """dest <- dest + value of e (``dest += e``)."""
+    if type(dest) is not Tensor and not isinstance(dest, Tensor):
+        raise TypeError(
+            f"destination must be a Tensor, not {type(dest).__name__}")
     _execute(lower(e, dest, "accumulate"))
     return dest
 

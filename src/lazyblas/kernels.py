@@ -134,12 +134,6 @@ class CallLog:
         self.element_writes = 0
         self.allocations = 0
 
-    def record(self, kernel, shapes, alpha=None, beta=None, trans=()) -> None:
-        # interned: a fresh nested tuple would keep the row tracked for
-        # one collector pass per level of nesting
-        self.records._rows.append((kernel, _intern(shapes, shapes), alpha,
-                                   beta, _intern(trans, trans)))
-
     def kernel_counts(self) -> dict:
         counts: dict = {}
         for row in self.records._rows:
@@ -360,6 +354,8 @@ def current_backend():
 # backend is called by attribute, so a method replaced on the instance
 # is the one called.
 
+# Shapes and trans tuples in a row are interned: a fresh nested tuple
+# would keep the row tracked for one collector pass per level of nesting.
 _rows = _active_log.records._rows  # cleared in place, never replaced
 
 

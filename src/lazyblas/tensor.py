@@ -15,7 +15,7 @@ need external exclusion.
 from __future__ import annotations
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -66,6 +66,15 @@ def _real_dtype(dtype):
     return dt
 
 
+def _real(v):
+    """``v`` if it is a real number (a bool is not), DomainError otherwise;
+    NaN and infinities are real numbers here."""
+    if type(v) is float or type(v) is int or (
+            isinstance(v, Real) and not isinstance(v, bool)):
+        return v
+    raise DomainError(f"element {v!r} is not a real number")
+
+
 def _column_view(data, extents):
     """``data`` viewed with ``extents`` in column-major order; made once
     per tensor, so that kernels read it as an attribute."""
@@ -75,10 +84,11 @@ def _column_view(data, extents):
 class Tensor:
     """Dense rank-``k`` tensor over float32 or float64 elements.
 
-    ``fill`` may be a scalar (uniform fill) or a callable taking one
-    index per dimension (element generator).  Fewer extents than the
-    rank replicate the last given extent, so ``Tensor(2, 3)`` is a 3x3
-    matrix of zeros.  Any other ``dtype`` raises DomainError.
+    ``fill`` may be a real number (uniform fill) or a callable taking
+    one index per dimension and returning a real number (element
+    generator).  Fewer extents than the rank replicate the last given
+    extent, so ``Tensor(2, 3)`` is a 3x3 matrix of zeros.  Any other
+    ``dtype`` or element raises DomainError.
     """
 
     __slots__ = ("extents", "owns_storage", "_data", "_view")
@@ -95,9 +105,9 @@ class Tensor:
         elif callable(fill):
             view = np.empty(ext, dtype, "F")
             for idx in np.ndindex(ext):
-                view[idx] = fill(*idx)
+                view[idx] = _real(fill(*idx))
         else:
-            view = np.full(ext, fill, dtype, "F")
+            view = np.full(ext, _real(fill), dtype, "F")
         self._view = view
         self._data = view if len(ext) == 1 else view.ravel("F")
         kernels.log().allocations += 1
@@ -137,7 +147,8 @@ class Tensor:
 
         Nesting depth sets the rank, the outermost list is dimension 0.
         Ragged nesting is rejected: silently truncating siblings of
-        unequal length would corrupt data.
+        unequal length would corrupt data.  Every leaf must be a real
+        number (DomainError otherwise).
         """
         dtype = _real_dtype(dtype)
         extents = []
@@ -154,6 +165,7 @@ class Tensor:
             if depth == len(extents):
                 if isinstance(node, (list, tuple)):
                     raise DomainError("inconsistent nesting depth")
+                _real(node)
                 return
             if not isinstance(node, (list, tuple)) or len(node) != extents[depth]:
                 raise DomainError(

@@ -390,6 +390,28 @@ def test_additive_overlap_evaluates_alias_safe(rng):
     np.testing.assert_allclose(d.to_numpy(), want, rtol=1e-15)
 
 
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_a_destination_that_is_not_a_tensor_raises_before_anything_runs(
+        rng, backend):
+    kernels.select_backend(backend)
+    x, y = rand_tensor(rng, 3), rand_tensor(rng, 3)
+    before = x.to_numpy(), y.to_numpy()
+    arr = np.zeros(3)
+    for dest, e, name in ((None, transpose(x) * y, "NoneType"),
+                          (arr, x + y, "ndarray"),
+                          (x.to_numpy().tolist(), 2.0 * x, "list")):
+        for run in (assign, accumulate):
+            reset_log()
+            with pytest.raises(TypeError, match=f"not {name}"):
+                run(dest, e)
+            assert log().records == []
+            assert log().allocations == 0
+            assert log().element_writes == 0
+    assert not arr.any()
+    np.testing.assert_array_equal(x.to_numpy(), before[0])
+    np.testing.assert_array_equal(y.to_numpy(), before[1])
+
+
 def test_disjoint_halves_of_one_buffer_lower_to_kernels(rng):
     buf = rng.random(32)
     a = Tensor.wrap((4, 4), buf[:16])

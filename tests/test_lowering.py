@@ -25,6 +25,7 @@ from lazyblas import (
     evaluate,
     kernels,
     lit,
+    lower,
     normalize,
     transpose,
 )
@@ -280,3 +281,52 @@ def test_scalar_forms_evaluate_by_dots(backend, dtype):
         assert isinstance(got, float) and got == want
         assert kernel_sequence() == expected
         assert temps == 0
+
+
+# -- the destination rule inside the one sum routine ---------------------------------
+
+
+@combos
+@pytest.mark.parametrize("mode", ["assign", "accumulate"])
+def test_one_dest_term_twice_folds_once_per_occurrence(backend, dtype, mode):
+    # one Term object occurs twice: its 0.5 folds into beta once per occurrence
+    kernels.select_backend(backend)
+    c = Operands(13, dtype)(3, 3)
+    t = 0.5 * c
+    beta = 1.0 + (mode == "accumulate")
+    assert [op.args for op in lower(t + t, dest=c, mode=mode)] == [
+        (0.0, c, c, beta, False)]
+    got, want, temps = run_statement(mode, t + t, c, dtype)
+    np.testing.assert_array_equal(got, want)
+    assert kernel_sequence() == ["axpy"]
+    assert temps == 0
+
+
+@combos
+@pytest.mark.parametrize("mode", ["assign", "accumulate"])
+def test_one_view_term_twice_gets_one_temporary_per_occurrence(
+        backend, dtype, mode):
+    kernels.select_backend(backend)
+    c = Operands(14, dtype)(3, 3)
+    t = 0.5 * Tensor.wrap(c.extents, c._data)
+    # both temporaries are written before anything writes c
+    first = "copy" if mode == "assign" else "axpy"
+    got, want, temps = run_statement(mode, t + t, c, dtype)
+    np.testing.assert_array_equal(got, want)
+    assert kernel_sequence() == ["axpy", "axpy", first, "axpy"]
+    assert temps == 2
+
+
+@combos
+def test_accumulate_zero_times_dest_is_one_axpy_that_writes_nothing(
+        backend, dtype):
+    kernels.select_backend(backend)
+    c = Operands(15, dtype)(3, 3)
+    assert [op.args for op in lower(0.0 * c, dest=c, mode="accumulate")] == [
+        (0.0, c, c, 1.0, False)]
+    got, want, temps = run_statement("accumulate", 0.0 * c, c, dtype)
+    np.testing.assert_array_equal(got, want)
+    assert kernel_sequence() == ["axpy"]
+    assert log().records[0].alpha == 0.0
+    assert log().element_writes == 0
+    assert temps == 0

@@ -16,6 +16,8 @@ from lazyblas import (
     vector,
 )
 
+from lazyblas.kernels import log, reset_log
+
 from conftest import rand_tensor
 
 
@@ -439,3 +441,33 @@ def test_zero_fill_keeps_negative_zero():
     t = Tensor(1, 3, fill=-0.0)
     assert all(np.signbit(t.column_view()))
     assert not any(np.signbit(Tensor(1, 3).column_view()))
+
+
+# every value that becomes an element must be a real number: no NaN from
+# None, no imaginary part dropped, no broadcast list, and no numpy error
+NOT_REAL_VALUES = [None, 1 + 2j, [1.0, 2.0], "x", "1.5", True, np.complex64(1)]
+
+
+@pytest.mark.parametrize("value", NOT_REAL_VALUES, ids=repr)
+def test_elements_must_be_real_numbers(value):
+    reset_log()
+    with pytest.raises(DomainError, match="not a real number"):
+        Tensor(1, 3, fill=value)
+    with pytest.raises(DomainError, match="not a real number"):
+        Tensor(2, 2, fill=lambda i, j: value if (i, j) == (1, 0) else 1.0)
+    with pytest.raises(DomainError):  # a list leaf: "inconsistent nesting"
+        Tensor.from_nested([1.0, value])
+    with pytest.raises(DomainError):
+        Tensor.from_nested([[1.0], [value]], dtype=np.float32)
+    assert log().allocations == 0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2, np.float32(1.5),
+                                   np.int64(3)], ids=repr)
+def test_real_elements_are_accepted(value):
+    want = np.full(2, float(value))
+    np.testing.assert_array_equal(Tensor(1, 2, fill=value).to_numpy(), want)
+    np.testing.assert_array_equal(
+        Tensor(1, 2, fill=lambda i: value).to_numpy(), want)
+    np.testing.assert_array_equal(
+        Tensor.from_nested([value, value]).to_numpy(), want)

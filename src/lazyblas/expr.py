@@ -17,9 +17,11 @@ reaches the backend as exactly one gemm call with ``transA`` set and
 
 A statement that fits no single kernel becomes a short sequence of
 them; every well-formed statement does, so there is one way to run a
-statement: walk, lower, then ``op.fn(*op.args)`` for each op.  One
-routine lowers every sum, into the destination or into a temporary,
-and each product's op comes from its row of one table.  Scaled sums of
+statement: walk, lower, then ``op.fn(*op.args)`` for each op.  An op is
+its call, a kernel's name and arguments, and prints as that call, so
+``print(lower(e, dest))`` shows what a statement will run.  One routine
+lowers every sum, into the destination or into a temporary, and each
+product's op comes from its row of one table.  Scaled sums of
 tensors of any rank become copy/axpy over the flat column-major buffers
 (a transposed matrix through axpy's ``trans``), one pass per addend:
 the first addend writes the destination with the kernel's beta 0,
@@ -314,25 +316,20 @@ def normalize(e):
 # signature is its rank, or 0 for a covector: what to call a mismatch of
 # the contracted extents (None: nothing is contracted), the extents of
 # the result from the factors' extents (None: a scalar), and the op for
-# ``d <- a*l*r + b*d`` from the two leaves.  The op looks up
-# ``kernels.<name>`` as it is built, so that it calls a tracer's wrapper.
+# ``d <- a*l*r + b*d`` from the two leaves.
 _PRODUCTS = {
     (0, 1): ("inner product of", lambda le, re: None,
-             lambda a, l, r, b, d: LoweredOp(
-                 "dot", kernels.dot, (l.tensor, r.tensor), a)),
+             lambda a, l, r, b, d: LoweredOp("dot", (l.tensor, r.tensor), a)),
     (1, 0): (None, lambda le, re: ((le[0], re[0]), False),
              lambda a, l, r, b, d: LoweredOp(
-                 "ger", kernels.ger, (a, l.tensor, r.tensor, d, b), a, b)),
+                 "ger", (a, l.tensor, r.tensor, d, b), a)),
     (2, 1): ("matrix-vector product of", lambda le, re: ((le[0],), False),
              lambda a, l, r, b, d: LoweredOp(
-                 "gemv", kernels.gemv, (l.trans, a, l.tensor, r.tensor, b, d),
-                 a, b, l.trans)),
+                 "gemv", (l.trans, a, l.tensor, r.tensor, b, d), a)),
     (2, 2): ("inner dimensions differ:",
              lambda le, re: ((le[0], re[1]), False),
              lambda a, l, r, b, d: LoweredOp(
-                 "gemm", kernels.gemm,
-                 (l.trans, r.trans, a, l.tensor, r.tensor, b, d), a, b,
-                 l.trans, r.trans)),
+                 "gemm", (l.trans, r.trans, a, l.tensor, r.tensor, b, d), a)),
 }
 
 
@@ -360,7 +357,8 @@ def _walk(n, dest, dt, shared):
     Overlap counts, not only identity; buffers that two tensors allocated
     themselves cannot overlap, so they skip the storage test.  Each
     product gets its ``plan``: its ``_PRODUCTS`` op (None beside a scalar
-    factor) and its factors' kinds."""
+    factor), its factors' kinds and ``dt``, the element type of any
+    temporary that lowering it allocates."""
     t = type(n)
     if t is Term:
         x = n.tensor
@@ -393,7 +391,7 @@ def _walk(n, dest, dt, shared):
     lk = _walk(n.left, dest, dt, None)
     rk = _walk(n.right, dest, dt, None)
     if lk is None or rk is None:
-        n.plan = None, lk, rk
+        n.plan = None, lk, rk, dt
         return lk if rk is None else rk
     (le, lcov), (re, rcov) = lk, rk
     rule = _PRODUCTS.get((len(le) - lcov, len(re) - rcov))
@@ -408,7 +406,7 @@ def _walk(n, dest, dt, shared):
     mismatch, result, op = rule
     if mismatch is not None and le[-1] != re[0]:
         raise ShapeError(f"{mismatch} {_kind_str(lk)} and {_kind_str(rk)}")
-    n.plan = op, lk, rk
+    n.plan = op, lk, rk, dt
     return result(le, re)
 
 
@@ -426,31 +424,31 @@ def _expr_dtype(n):
 
 
 class LoweredOp:
-    """One kernel call of a lowered statement, carrying its call.
+    """One kernel call of a lowered statement: the op is its call.
 
-    ``fn`` is the ``kernels.<kernel>`` function as looked up when the
-    statement was lowered, ``args`` all its positional arguments in that
-    public signature: running the op is ``fn(*args)``.  ``alpha`` scales
-    a dot's value.  Ops call ``kernels.*``, not a backend routine resolved
-    here, because that is where every call is checked and logged, and
-    where a wrapper installed on the module (a tracer) sees it."""
+    ``args`` are all the call's positional arguments in the public
+    signature of ``kernels.<kernel>``, and ``fn`` is that function, looked
+    up when the op is built: running the op is ``fn(*args)``, and its
+    repr is the call, so ``print(lower(e, dest))`` shows what a statement
+    will run.  ``alpha`` is the call's scale: its alpha argument, or for a
+    dot, whose call has none, the factor that scales its value.  Ops call
+    ``kernels.*``, not a backend routine resolved here, because that is
+    where every call is checked and logged, and where a wrapper installed
+    on the module (a tracer) sees it."""
 
-    __slots__ = ("kernel", "fn", "args", "alpha", "beta", "trans_a",
-                 "trans_b")
+    __slots__ = ("kernel", "fn", "args", "alpha")
 
-    def __init__(self, kernel, fn, args, alpha=1.0, beta=0.0, trans_a=False,
-                 trans_b=False):
+    def __init__(self, kernel, args, alpha=1.0):
         self.kernel = kernel
-        self.fn = fn
+        self.fn = getattr(kernels, kernel)
         self.args = args
         self.alpha = alpha
-        self.beta = beta
-        self.trans_a = trans_a
-        self.trans_b = trans_b
 
     def __repr__(self):
-        return (f"LoweredOp({self.kernel}, alpha={self.alpha}, beta={self.beta}, "
-                f"trans=({self.trans_a}, {self.trans_b}))")
+        call = f"{self.kernel}({', '.join(map(repr, self.args))})"
+        if self.kernel == "dot" and self.alpha != 1.0:
+            return f"{self.alpha!r} * {call}"
+        return call
 
 
 def _temporary(n, extents, dt, ops):
@@ -485,20 +483,20 @@ def _lower_product(n, dest, beta, ops):
     factor is computed here, by dots, and scales the other side, which is
     then lowered like an addend: it sits in a product, so the walk has
     proved that it does not read ``dest``."""
-    op, lk, rk = n.plan
+    op, lk, rk, dt = n.plan
     if op is None:
         if lk is None:
             side = n.right._scaled(_scalar_value(n.left))
         else:
             side = n.left._scaled(_scalar_value(n.right))
-        _walk(side, None, None, None)  # plans for the scaled products
+        _walk(side, None, dt, None)  # plans for the scaled products
         _lower_sum(dest, side, beta, ops)
         return ops
     l, r = n.left, n.right
     if type(l) is not Term:
-        l = Term(1.0, _temporary(l, lk[0], _expr_dtype(l), ops), lk[1])
+        l = Term(1.0, _temporary(l, lk[0], dt, ops), lk[1])
     if type(r) is not Term:
-        r = Term(1.0, _temporary(r, rk[0], _expr_dtype(r), ops), rk[1])
+        r = Term(1.0, _temporary(r, rk[0], dt, ops), rk[1])
     ops.append(op(l.coef * r.coef, l, r, beta, dest))
     return ops
 
@@ -525,24 +523,22 @@ def _lower_sum(dest, n, beta, ops, swaps=()):
         n = swaps.pop(0)[1]
         if n is None:
             return beta
-    if n.trans and len(n.tensor.extents) == 2:
-        ops.append(LoweredOp("axpy", kernels.axpy,
-                             (n.coef, n.tensor, dest, beta, True), n.coef,
-                             beta, True))
-    elif beta == 0.0 and n.coef == 1.0:
-        ops.append(LoweredOp("copy", kernels.copy, (n.tensor, dest)))
+    trans = n.trans and len(n.tensor.extents) == 2
+    if beta == 0.0 and n.coef == 1.0 and not trans:
+        ops.append(LoweredOp("copy", (n.tensor, dest)))
     else:
-        ops.append(LoweredOp("axpy", kernels.axpy,
-                             (n.coef, n.tensor, dest, beta, False), n.coef,
-                             beta))
+        ops.append(LoweredOp("axpy", (n.coef, n.tensor, dest, beta, trans),
+                             n.coef))
     return 1.0
 
 
 def lower(e, dest=None, mode="assign"):
-    """Translate an expression into LoweredOps, each carrying the
-    ``kernels.*`` call that runs it.
+    """Translate an expression into LoweredOps, each the ``kernels.*``
+    call that runs it, so ``print(lower(e, dest))`` shows what the
+    statement will run, in order, without running it.
 
-    One walk checks shapes, element types and the destination's storage
+    A ``dest`` that is neither None nor a Tensor raises TypeError.  One
+    walk checks shapes, element types and the destination's storage
     before any temporary is allocated.  With no destination, only an
     inner product has ops (a dot, after the ops of non-leaf factors);
     any other scalar raises UnsupportedOperationError (``evaluate``
@@ -571,6 +567,8 @@ def lower(e, dest=None, mode="assign"):
                 "only an inner product lowers to kernel calls without a "
                 "destination; evaluate computes any scalar")
         return _lower_product(n, None, 0.0, [])
+    if type(dest) is not Tensor and not isinstance(dest, Tensor):
+        raise _not_a_tensor(dest)
     shared = []
     kind = _walk(n, dest, dest._data.dtype, shared)
     if kind is None:
@@ -592,8 +590,7 @@ def lower(e, dest=None, mode="assign"):
     written = len(ops)
     beta = _lower_sum(dest, n, beta, ops, swaps)
     if len(ops) == written:  # every addend was c*dest
-        ops.append(LoweredOp("axpy", kernels.axpy,
-                             (0.0, dest, dest, beta, False), 0.0, beta))
+        ops.append(LoweredOp("axpy", (0.0, dest, dest, beta, False), 0.0))
     return ops
 
 
@@ -632,20 +629,22 @@ def evaluate(e):
     return result
 
 
+def _not_a_tensor(dest):
+    return TypeError(f"destination must be a Tensor, not {type(dest).__name__}")
+
+
 def assign(dest, e):
     """dest <- value of e."""
-    if type(dest) is not Tensor and not isinstance(dest, Tensor):
-        raise TypeError(
-            f"destination must be a Tensor, not {type(dest).__name__}")
+    if dest is None:  # ``lower`` reads None as "no destination"
+        raise _not_a_tensor(dest)
     _execute(lower(e, dest, "assign"))
     return dest
 
 
 def accumulate(dest, e):
     """dest <- dest + value of e (``dest += e``)."""
-    if type(dest) is not Tensor and not isinstance(dest, Tensor):
-        raise TypeError(
-            f"destination must be a Tensor, not {type(dest).__name__}")
+    if dest is None:
+        raise _not_a_tensor(dest)
     _execute(lower(e, dest, "accumulate"))
     return dest
 

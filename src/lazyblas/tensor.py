@@ -75,6 +75,18 @@ def _real(v):
     raise DomainError(f"element {v!r} is not a real number")
 
 
+def _index(i, extent):
+    """``i`` if it indexes ``range(extent)``: DomainError when it is not
+    an integer (a bool is not; a numpy integer is), BoundsError when it
+    is out of range."""
+    if type(i) is not int and (not isinstance(i, Integral)
+                               or isinstance(i, bool)):
+        raise DomainError(f"index {i!r} is not an integer")
+    if not 0 <= i < extent:
+        raise BoundsError(f"index {i} out of range [0, {extent})")
+    return i
+
+
 def _column_view(data, extents):
     """``data`` viewed with ``extents`` in column-major order; made once
     per tensor, so that kernels read it as an attribute."""
@@ -213,9 +225,7 @@ class Tensor:
         off = 0
         s = 1
         for i, e in zip(indices, self.extents):
-            if not 0 <= i < e:
-                raise BoundsError(f"index {i} out of range [0, {e})")
-            off += i * s
+            off += _index(i, e) * s
             s *= e
         return off
 
@@ -225,27 +235,26 @@ class Tensor:
         return self._data[self.offset_of(*indices)].item()
 
     def set(self, *args):
-        """``set(i0, ..., i_{k-1}, value)``."""
+        """``set(i0, ..., i_{k-1}, value)``.  ``value`` must be a real
+        number, as in the constructors (DomainError otherwise); ``t[i] = v``
+        and ``t[i][j] = v`` come here too."""
         *indices, value = args
-        self._data[self.offset_of(*indices)] = value
+        self._data[self.offset_of(*indices)] = _real(value)
 
     def value_at(self, offset):
-        """Element at a linear buffer offset (pairs with dim_iter)."""
-        return self._data[offset].item()
+        """Element at a linear buffer offset (pairs with dim_iter); the
+        offset is checked against the buffer like an index."""
+        return self._data[_index(offset, self._data.shape[0])].item()
 
     def __getitem__(self, i):
         if self.rank == 1:
-            if not 0 <= i < self.extents[0]:
-                raise BoundsError(f"index {i} out of range [0, {self.extents[0]})")
-            return self._data[i].item()
-        return _IndexProxy(self, i * 1, 1)._check(i, 0)
+            return self.get(i)
+        return _IndexProxy(self, (_index(i, self.extents[0]),))
 
     def __setitem__(self, i, value):
         if self.rank != 1:
             raise RankError("chained assignment needs all indices; use set()")
-        if not 0 <= i < self.extents[0]:
-            raise BoundsError(f"index {i} out of range [0, {self.extents[0]})")
-        self._data[i] = value
+        self.set(i, value)
 
     # -- iteration ----------------------------------------------------------
 
@@ -305,39 +314,27 @@ class Tensor:
 
 
 class _IndexProxy:
-    """Accumulates offset and stride across chained ``[]`` applications."""
+    """The indices of chained ``[]`` applications so far, each checked as
+    it arrives; the last one reads or writes through ``get`` or ``set``."""
 
-    __slots__ = ("_tensor", "_offset", "_dim")
+    __slots__ = ("_tensor", "_indices")
 
-    def __init__(self, tensor, offset, dim):
+    def __init__(self, tensor, indices):
         self._tensor = tensor
-        self._offset = offset
-        self._dim = dim
-
-    def _check(self, i, d):
-        e = self._tensor.extents[d]
-        if not 0 <= i < e:
-            raise BoundsError(f"index {i} out of range [0, {e})")
-        return self
+        self._indices = indices
 
     def __getitem__(self, i):
-        t = self._tensor
-        e = t.extents[self._dim]
-        if not 0 <= i < e:
-            raise BoundsError(f"index {i} out of range [0, {e})")
-        off = self._offset + i * t.stride(self._dim)
-        if self._dim == t.rank - 1:
-            return t._data[off].item()
-        return _IndexProxy(t, off, self._dim + 1)
+        t, indices = self._tensor, self._indices + (i,)
+        if len(indices) == t.rank:
+            return t.get(*indices)
+        _index(i, t.extents[len(self._indices)])
+        return _IndexProxy(t, indices)
 
     def __setitem__(self, i, value):
         t = self._tensor
-        if self._dim != t.rank - 1:
+        if len(self._indices) + 1 != t.rank:
             raise RankError("chained assignment needs all indices")
-        e = t.extents[self._dim]
-        if not 0 <= i < e:
-            raise BoundsError(f"index {i} out of range [0, {e})")
-        t._data[self._offset + i * t.stride(self._dim)] = value
+        t.set(*self._indices, i, value)
 
 
 def vector(n, fill=0.0, dtype=np.float64) -> Tensor:

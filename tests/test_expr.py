@@ -133,6 +133,24 @@ def test_operators_fold_scalars_bottom_up(rng):
     assert type(lit(2.0) * lit(3.0)) is Literal
 
 
+def test_operators_scale_by_any_real_number_but_a_bool(rng):
+    x, y = rand_tensor(rng, 4), rand_tensor(rng, 4)
+    for e, scale in ((x * 2.0, 2.0), (2 * x, 2.0),
+                     (np.float64(2.0) * x, 2.0),
+                     (x * np.float32(0.5), 0.5)):
+        want = result_as_numpy(oracle_eval(normalize(e)))
+        np.testing.assert_array_equal(want, scale * x.to_numpy())
+        np.testing.assert_array_equal(evaluate(e).to_numpy(), want)
+    e = 2 * (x + y)
+    np.testing.assert_allclose(
+        evaluate(e).to_numpy(), result_as_numpy(oracle_eval(normalize(e))),
+        rtol=1e-15)
+    with pytest.raises(TypeError, match="bool"):
+        True * x
+    with pytest.raises(ShapeError, match=r"scalar and tensor\(rank 1\)"):
+        infer_kind(2.0 + x)
+
+
 # -- kind inference -----------------------------------------------------------
 
 
@@ -168,6 +186,21 @@ def test_kind_add_mismatch(rng):
 def test_kind_inner_dim_mismatch(rng):
     with pytest.raises(ShapeError):
         infer_kind(leaf(rand_tensor(rng, 2, 3)) * leaf(rand_tensor(rng, 4, 5)))
+
+
+def test_kind_vector_products_need_exactly_one_transposed_side(rng):
+    x, y = rand_tensor(rng, 3), rand_tensor(rng, 3)
+    for e in (x * y, transpose(x) * transpose(y)):
+        with pytest.raises(ShapeError, match="exactly one transposed side"):
+            infer_kind(e)
+    t, u = rand_tensor(rng, 2, 2, 2), rand_tensor(rng, 2, 2, 2)
+    with pytest.raises(ShapeError, match="unsupported product between "
+                       r"tensor\(rank 3\)\(2, 2, 2\) and tensor\(rank 3\)"):
+        infer_kind(t * u)
+    reset_log()
+    with pytest.raises(ShapeError, match="unsupported product"):
+        assign(rand_tensor(rng, 2, 2, 2), t * u)
+    assert log().records == [] and log().element_writes == 0
 
 
 def test_kind_soundness_random_family(rng):
@@ -279,7 +312,8 @@ def test_lower_gemv_trans_and_beta(rng):
     x, y = rand_tensor(rng, 6), rand_tensor(rng, 6)
     ops = lower(2.0 * transpose(a) * x + 3.0 * y, dest=y, mode="assign")
     assert [op.kernel for op in ops] == ["gemv"]
-    assert ops[0].trans_a and ops[0].alpha == 2.0 and ops[0].beta == 3.0
+    trans, alpha, _, _, beta, _ = ops[0].args
+    assert trans and ops[0].alpha == alpha == 2.0 and beta == 3.0
 
 
 def test_lower_ger(rng):
@@ -295,7 +329,7 @@ def test_lower_ger(rng):
     np.testing.assert_array_equal(
         a.to_numpy(), 1.5 * np.multiply.outer(x.to_numpy(), y.to_numpy()))
     ops = lower(1.5 * x * transpose(y) + 0.5 * a, dest=a, mode="accumulate")
-    assert [op.kernel for op in ops] == ["ger"] and ops[0].beta == 1.5
+    assert [op.kernel for op in ops] == ["ger"] and ops[0].args[4] == 1.5
 
 
 def test_lower_gemm_folds_split_scalars(rng):
@@ -305,9 +339,10 @@ def test_lower_gemm_folds_split_scalars(rng):
     ops = lower(0.5 * transpose(a) * 4.0 * b, dest=c, mode="accumulate")
     assert [op.kernel for op in ops] == ["gemm"]
     op = ops[0]
-    assert op.trans_a and not op.trans_b
-    assert op.alpha == 0.5 * 4.0
-    assert op.beta == 1.0
+    trans_a, trans_b, alpha, _, _, beta, _ = op.args
+    assert trans_a and not trans_b
+    assert op.alpha == alpha == 0.5 * 4.0
+    assert beta == 1.0
 
 
 def test_lower_double_transpose_no_trans_flag(rng):
@@ -315,20 +350,42 @@ def test_lower_double_transpose_no_trans_flag(rng):
     b = rand_tensor(rng, 4, 4)
     c = rand_tensor(rng, 4, 4)
     ops = lower(transpose(transpose(a)) * b, dest=c, mode="assign")
-    assert ops[0].kernel == "gemm" and not ops[0].trans_a
+    assert ops[0].kernel == "gemm" and not ops[0].args[0]  # trans_a
 
 
 def test_lower_beta_dest_spelling_assign(rng):
     a, b, c = (rand_tensor(rng, 4, 4) for _ in range(3))
     ops = lower(0.5 * a * b + 4.0 * c, dest=c, mode="assign")
     assert [op.kernel for op in ops] == ["gemm"]
-    assert ops[0].beta == 4.0
+    assert ops[0].args[5] == 4.0  # beta
 
 
 def test_lower_beta_dest_spelling_accumulate(rng):
     a, b, c = (rand_tensor(rng, 4, 4) for _ in range(3))
     ops = lower(0.5 * a * b + 4.0 * c, dest=c, mode="accumulate")
-    assert ops[0].kernel == "gemm" and ops[0].beta == 5.0  # dest counted once more
+    assert ops[0].kernel == "gemm" and ops[0].args[5] == 5.0  # beta: dest once more
+
+
+def test_an_op_prints_as_its_call(rng):
+    a, b, c = (rand_tensor(rng, 3, 3) for _ in range(3))
+    x, y = rand_tensor(rng, 3), rand_tensor(rng, 3)
+    ta, tx, ty = repr(a), repr(x), repr(y)
+    assert [repr(op) for op in lower(2.0 * transpose(a) * b + c, c)] == [
+        f"gemm(True, False, 2.0, {ta}, {b!r}, 1.0, {c!r})"]
+    assert [repr(op) for op in lower(a * x + 3.0 * y, y)] == [
+        f"gemv(False, 1.0, {ta}, {tx}, 3.0, {ty})"]
+    assert [repr(op) for op in lower(0.5 * x * transpose(y), c)] == [
+        f"ger(0.5, {tx}, {ty}, {c!r}, 0.0)"]
+    assert [repr(op) for op in lower(x + 2.0 * transpose(transpose(y)), x)] \
+        == [f"axpy(2.0, {ty}, {tx}, 1.0, False)"]
+    assert [repr(op) for op in lower(transpose(a), c, "accumulate")] == [
+        f"axpy(1.0, {ta}, {c!r}, 1.0, True)"]
+    assert [repr(op) for op in lower(x, y)] == [f"copy({tx}, {ty})"]
+    assert [repr(op) for op in lower(transpose(x) * y)] == [
+        f"dot({tx}, {ty})"]
+    assert [repr(op) for op in lower(3.0 * (transpose(x) * y))] == [
+        f"3.0 * dot({tx}, {ty})"]
+    assert str(lower(x, y)) == f"[copy({tx}, {ty})]"
 
 
 def test_lower_shape_mismatch_names_extents(rng):
@@ -407,6 +464,30 @@ def test_a_destination_that_is_not_a_tensor_raises_before_anything_runs(
             assert log().records == []
             assert log().allocations == 0
             assert log().element_writes == 0
+    assert not arr.any()
+    np.testing.assert_array_equal(x.to_numpy(), before[0])
+    np.testing.assert_array_equal(y.to_numpy(), before[1])
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_lower_with_a_destination_that_is_not_a_tensor_raises_first(
+        rng, backend):
+    # the TypeError that assign raises, not an AttributeError from the walk
+    kernels.select_backend(backend)
+    x, y = rand_tensor(rng, 3), rand_tensor(rng, 3)
+    before = x.to_numpy(), y.to_numpy()
+    arr = np.zeros(3)
+    for dest, name in ((arr, "ndarray"), ([0.0, 0.0, 0.0], "list")):
+        for e in (x + y, 2.0 * x, transpose(x) * y):
+            for mode in ("assign", "accumulate"):
+                reset_log()
+                with pytest.raises(
+                        TypeError,
+                        match=f"^destination must be a Tensor, not {name}$"):
+                    lower(e, dest, mode)
+                assert log().records == []
+                assert log().allocations == 0
+                assert log().element_writes == 0
     assert not arr.any()
     np.testing.assert_array_equal(x.to_numpy(), before[0])
     np.testing.assert_array_equal(y.to_numpy(), before[1])

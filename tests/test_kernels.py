@@ -1,4 +1,5 @@
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -501,3 +502,88 @@ def test_blas_backend_trans_flags(rng):
 def test_mixed_dtypes_rejected(rng):
     with pytest.raises(TypeError):
         kernels.dot(rand_tensor(rng, 4), rand_tensor(rng, 4, dtype=np.float32))
+
+
+# each kernel's arguments: a scalar as itself, a tensor as its extents
+KERNEL_ARGS = {
+    "copy": [(3,), (3,)],
+    "axpy": [1.0, (3,), (3,)],
+    "gemv": [False, 1.0, (3, 2), (2,), 0.0, (3,)],
+    "ger": [1.0, (3,), (2,), (3, 2), 0.0],
+    "gemm": [False, False, 1.0, (3, 2), (2, 4), 0.0, (3, 4)],
+}
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("kernel", sorted(KERNEL_ARGS))
+def test_mixed_dtypes_raise_and_log_nothing(rng, backend, kernel):
+    # float32 in each tensor position in turn, float64 elsewhere
+    select_backend(backend)
+    spec = KERNEL_ARGS[kernel]
+    tensors = [j for j, a in enumerate(spec) if isinstance(a, tuple)]
+    for odd in tensors:
+        args = [rand_tensor(rng, *a, dtype=np.float32 if j == odd
+                            else np.float64) if j in tensors else a
+                for j, a in enumerate(spec)]
+        before = [args[j].to_numpy() for j in tensors]
+        reset_log()
+        with pytest.raises(TypeError, match="mixed element types"):
+            getattr(kernels, kernel)(*args)
+        assert log().records == []
+        assert log().element_writes == 0
+        for j, b in zip(tensors, before):
+            np.testing.assert_array_equal(args[j].to_numpy(), b)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v, m, t: kernels.dot(m, m),
+    lambda v, m, t: kernels.dot(t, t),
+    lambda v, m, t: kernels.nrm2(m),
+    lambda v, m, t: kernels.gemv(False, 1.0, v, v, 0.0, v),
+    lambda v, m, t: kernels.gemv(False, 1.0, m, m, 0.0, v),
+    lambda v, m, t: kernels.gemv(False, 1.0, t, v, 0.0, v),
+    lambda v, m, t: kernels.ger(1.0, m, v, m, 0.0),
+    lambda v, m, t: kernels.ger(1.0, v, v, t, 0.0),
+    lambda v, m, t: kernels.gemm(False, False, 1.0, v, m, 0.0, m),
+    lambda v, m, t: kernels.gemm(False, False, 1.0, m, m, 0.0, t),
+], ids=["dot-matrix", "dot-rank3", "nrm2-matrix", "gemv-vector-a",
+        "gemv-matrix-x", "gemv-rank3-a", "ger-matrix-x", "ger-rank3-a",
+        "gemm-vector-a", "gemm-rank3-c"])
+def test_wrong_rank_operands_raise_shape_error(call):
+    v, m, t = vector(3), matrix(3, 3), Tensor(3, 3)
+    reset_log()
+    with pytest.raises(ShapeError):
+        call(v, m, t)
+    assert log().records == []
+    assert log().element_writes == 0
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("kernel", ["gemm", "gemv", "ger", "axpy"])
+def test_a_strided_wrap_destination_is_written_in_place(rng, backend, kernel):
+    # buf[::2] is not contiguous, so a BLAS binding writes its result to a
+    # copy, which must come back to the wrapped elements; the skipped
+    # elements stay as they were
+    select_backend(backend)
+    a, b = rand_tensor(rng, 3, 2), rand_tensor(rng, 2, 3)
+    x, y = rand_tensor(rng, 3), rand_tensor(rng, 2)
+    extents, want, call = {
+        "gemm": ((3, 3), lambda c: 2.0 * a.to_numpy() @ b.to_numpy() + 0.5 * c,
+                 lambda c: kernels.gemm(False, False, 2.0, a, b, 0.5, c)),
+        "gemv": ((2,), lambda c: 2.0 * a.to_numpy().T @ x.to_numpy() + 0.5 * c,
+                 lambda c: kernels.gemv(True, 2.0, a, x, 0.5, c)),
+        "ger": ((3, 2), lambda c: 2.0 * np.outer(x.to_numpy(), y.to_numpy())
+                + 0.5 * c,
+                lambda c: kernels.ger(2.0, x, y, c, 0.5)),
+        "axpy": ((3, 2), lambda c: 2.0 * a.to_numpy() + 0.5 * c,
+                 lambda c: kernels.axpy(2.0, a, c, 0.5)),
+    }[kernel]
+    size = math.prod(extents)
+    buf = rng.random(2 * size)
+    skipped = buf[1::2].copy()
+    c = Tensor.wrap(extents, buf[::2])
+    expect = want(c.to_numpy())
+    call(c)
+    np.testing.assert_allclose(c.to_numpy(), expect, rtol=1e-13)
+    np.testing.assert_allclose(buf[::2], expect.ravel(order="F"), rtol=1e-13)
+    np.testing.assert_array_equal(buf[1::2], skipped)

@@ -471,3 +471,105 @@ def test_real_elements_are_accepted(value):
         Tensor(1, 2, fill=lambda i: value).to_numpy(), want)
     np.testing.assert_array_equal(
         Tensor.from_nested([value, value]).to_numpy(), want)
+
+
+# -- element access: one checked path --------------------------------------
+
+SHAPES = [(3,), (3, 3), (2, 3, 4)]
+
+
+def _writes(t, idx, value):
+    """Every way to write element ``idx`` of ``t``."""
+    def chained():
+        ref = t
+        for i in idx[:-1]:
+            ref = ref[i]
+        ref[idx[-1]] = value
+    return [lambda: t.set(*idx, value), chained]
+
+
+@pytest.mark.parametrize("extents", SHAPES, ids=str)
+@pytest.mark.parametrize("value", [None, "2.5", True], ids=repr)
+def test_element_writes_must_be_real_numbers(extents, value):
+    # set, t[i] = v and the chained forms check as the constructors do
+    t = Tensor(len(extents), *extents, fill=1.0)
+    last = tuple(e - 1 for e in extents)
+    for write in _writes(t, last, value):
+        with pytest.raises(DomainError, match="not a real number"):
+            write()
+    assert (t.to_numpy() == 1.0).all()
+
+
+@pytest.mark.parametrize("extents", SHAPES, ids=str)
+@pytest.mark.parametrize("value", [2, 2.5, np.float32(2.5), np.int64(2),
+                                   np.nan], ids=repr)
+def test_element_writes_of_real_numbers(extents, value):
+    t = Tensor(len(extents), *extents)
+    last = tuple(e - 1 for e in extents)
+    for write in _writes(t, last, value):
+        t.column_view()[...] = 0.0
+        write()
+        np.testing.assert_array_equal(t.get(*last), float(value))
+        assert np.count_nonzero(t.to_numpy()) == 1
+
+
+@pytest.mark.parametrize("extents", SHAPES, ids=str)
+def test_value_at_checks_the_offset_against_the_buffer(extents):
+    t = Tensor(len(extents), *extents, fill=lambda *idx: float(sum(idx)))
+    assert t.value_at(t.size - 1) == sum(e - 1 for e in extents)
+    assert t.value_at(np.int64(0)) == 0.0
+    for off in (-1, t.size):
+        with pytest.raises(BoundsError):
+            t.value_at(off)
+    for off in (True, 1.0, "0"):
+        with pytest.raises(DomainError, match="not an integer"):
+            t.value_at(off)
+
+
+@pytest.mark.parametrize("extents", SHAPES, ids=str)
+@pytest.mark.parametrize("bad,error", [(-1, BoundsError), (5, BoundsError),
+                                       (True, DomainError),
+                                       (1.0, DomainError),
+                                       ("1", DomainError)], ids=repr)
+def test_every_index_goes_through_one_check(extents, bad, error):
+    # in each position: get, set, offset_of, t[i], chained reads and writes
+    t = Tensor(len(extents), *extents, fill=1.0)
+    for d in range(len(extents)):
+        idx = [0] * len(extents)
+        idx[d] = bad
+        for access in [lambda: t.get(*idx), lambda: t.offset_of(*idx),
+                       *_writes(t, idx, 2.0)]:
+            with pytest.raises(error):
+                access()
+        with pytest.raises(error):  # a bad index raises as it arrives
+            ref = t
+            for i in idx[:d + 1]:
+                ref = ref[i]
+    assert (t.to_numpy() == 1.0).all()
+
+
+@pytest.mark.parametrize("extents", SHAPES, ids=str)
+def test_numpy_integers_index_like_ints(extents):
+    t = Tensor(len(extents), *extents, fill=lambda *idx: float(sum(idx)))
+    for idx in np.ndindex(extents):
+        np_idx = [np.int64(i) if d % 2 else np.int32(i)
+                  for d, i in enumerate(idx)]
+        ref = t
+        for i in np_idx:
+            ref = ref[i]
+        assert ref == t.get(*np_idx) == sum(idx)
+        assert t.offset_of(*np_idx) == t.offset_of(*idx)
+    t.set(*[np.int64(e - 1) for e in extents], -1.0)
+    assert t.get(*[e - 1 for e in extents]) == -1.0
+
+
+def test_a_matrix_index_out_of_range_raises_at_once():
+    t = Tensor(2, 3)
+    with pytest.raises(BoundsError):
+        t[5]
+    with pytest.raises(BoundsError):
+        Tensor(3, 2, 3, 4)[0][3]
+    with pytest.raises(RankError):  # a write needs every index
+        t[0] = 1.0
+    with pytest.raises(RankError):
+        Tensor(3, 2, 3, 4)[0][0] = 1.0

@@ -1,12 +1,13 @@
 """Kernel contracts, backends, and call instrumentation.
 
 Seven kernels are exposed as module-level functions (copy, axpy, dot,
-nrm2, gemv, ger, gemm).  Each call validates element types and shapes,
-appends a record to the active :class:`CallLog`, and calls the currently
-selected backend.  A lowered statement (:mod:`lazyblas.expr`) holds these
-functions with their positional arguments and runs them in turn, so a
-statement and a direct call take the same path: one check, one record,
-one backend call per kernel.  Two backends ship in-tree:
+nrm2, gemv, ger, gemm).  Each call validates its scalars, element types
+and shapes, appends a 24-byte record to the active :class:`CallLog`
+(which is never bounded), and calls the currently selected backend.  A
+lowered statement (:mod:`lazyblas.expr`) holds these functions with
+their positional arguments and runs them in turn, so a statement and a
+direct call take the same path: one check, one record, one backend call
+per kernel.  Two backends ship in-tree:
 
 * ``naive`` -- hand-written reference loops over the column-major
   buffers.  Always available, always the default.  Accumulation order is
@@ -24,6 +25,11 @@ pass.  axpy's ``trans`` reads a matrix ``x`` transposed; that is done in
 numpy on both backends, as scipy exposes no transposing copy
 (``omatcopy``).
 
+Alpha and beta must be real numbers that a double holds (a bool is
+not one; NaN and infinities are): anything else raises DomainError
+before the call is logged or an element written, on both backends.
+The kernels compute with them, and log them, as floats.
+
 Alpha 0 reads no operand but the destination, at any beta, as BLAS
 does: the destination becomes ``beta*dest`` (zeros for beta 0, no write
 for beta 1), whatever ``x``, ``y`` or ``a`` and ``b`` hold.  Operands
@@ -35,12 +41,15 @@ contraction apply beta to the destination in the same way.
 from __future__ import annotations
 
 import math
+import struct
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
-from .errors import ShapeError, UnknownBackendError
+from .errors import DomainError, ShapeError, UnknownBackendError
 
 __all__ = [
     "CallLog",
@@ -74,35 +83,77 @@ class CallRecord:
     trans: tuple = ()
 
 
+# A record is 24 bytes: the id of its row's signature, then alpha and
+# beta as doubles.  A signature is ``(kernel, shapes, trans, carries
+# alpha, carries beta)``; the table holds each distinct one once, for
+# every log, and a scalar that a row does not carry is not read back.
+# axpy and ger rows carry beta unless it is 1: their signature says
+# _UNLESS_1, so that one signature serves every beta.
+_RECORD = struct.Struct("qdd")
+_pack, _unpack_from = _RECORD.pack, _RECORD.unpack_from
+_SIZE = _RECORD.size
+_CHUNK = 4096 * _SIZE
+_UNLESS_1 = "unless 1"
+_signatures: list = []  # row id -> signature
+_ids: dict = {}  # signature -> row id
+
+
+def _row_id(signature) -> int:
+    """The id of a row signature, assigned on first sight."""
+    rid = _ids.get(signature)
+    if rid is None:
+        rid = _ids[signature] = len(_signatures)
+        _signatures.append(signature)
+    return rid
+
+
+def _record(rid, alpha, beta) -> CallRecord:
+    kernel, shapes, trans, has_alpha, has_beta = _signatures[rid]
+    if has_beta is _UNLESS_1:
+        has_beta = beta != 1.0
+    return CallRecord(kernel, shapes, alpha if has_alpha else None,
+                      beta if has_beta else None, trans)
+
+
 class CallRecords(Sequence):
     """The records of a call log, oldest first, as :class:`CallRecord`.
 
-    Each is stored as a plain tuple of atomic values and interned
-    tuples, which the garbage collector stops tracking on its first pass,
-    so a log of millions of calls adds nothing to collection pauses.
-    Indexing and iteration build the CallRecord.
+    They are packed into one bytearray, 24 bytes a record: the id of the
+    call's kernel, shapes, trans flags and carried scalars in a table that
+    grows only with the distinct ones, then alpha and beta.  So the log
+    holds no Python object per call, but it is still never bounded.
+    Indexing and iteration decode the CallRecord.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_buf",)
 
     def __init__(self, records=()):
-        self._rows = [(r.kernel, r.shapes, r.alpha, r.beta, r.trans)
-                      for r in records]
+        self._buf = bytearray()
+        for r in records:
+            rid = _row_id((r.kernel, r.shapes, r.trans, r.alpha is not None,
+                           r.beta is not None))
+            self._buf += _pack(rid, 0.0 if r.alpha is None else r.alpha,
+                               0.0 if r.beta is None else r.beta)
 
     def __len__(self):
-        return len(self._rows)
+        return len(self._buf) // _SIZE
+
+    def _at(self, i):
+        return _record(*_unpack_from(self._buf, i * _SIZE))
 
     def __getitem__(self, i):
+        picked = range(len(self))[i]
         if isinstance(i, slice):
-            return [CallRecord(*row) for row in self._rows[i]]
-        return CallRecord(*self._rows[i])
+            return [self._at(j) for j in picked]
+        return self._at(picked)
 
     def __iter__(self):
-        return (CallRecord(*row) for row in self._rows)
+        return map(self._at, range(len(self)))
 
     def __eq__(self, other):
         if isinstance(other, CallRecords):
-            return self._rows == other._rows
+            # equal records may differ in a scalar the row does not carry
+            return self._buf == other._buf or list(self) == list(other)
         if isinstance(other, list):
             return list(self) == other
         return NotImplemented
@@ -111,18 +162,14 @@ class CallRecords(Sequence):
         return f"CallRecords({list(self)!r})"
 
 
-_interned: dict = {}  # shapes and trans tuples: the first equal one seen
-_intern = _interned.setdefault
-
-
 @dataclass
 class CallLog:
     """Append-only instrumentation attached to kernel dispatch.
 
-    ``records`` holds one :class:`CallRecord` per kernel call;
-    ``element_writes`` counts destination elements written by kernels;
-    ``allocations`` counts tensor buffer allocations.  Reset is
-    explicit.
+    ``records`` holds one :class:`CallRecord` per kernel call, 24 bytes
+    each, and is never bounded; ``element_writes`` counts destination
+    elements written by kernels; ``allocations`` counts tensor buffer
+    allocations.  Reset is explicit.
     """
 
     records: CallRecords = field(default_factory=CallRecords)
@@ -130,19 +177,27 @@ class CallLog:
     allocations: int = 0
 
     def reset(self) -> None:
-        self.records._rows.clear()
+        self.records._buf.clear()  # in place: the kernels append to it
         self.element_writes = 0
         self.allocations = 0
 
     def kernel_counts(self) -> dict:
+        # row ids are read from copies of slices of the buffer: a view of
+        # the buffer itself would stop a kernel call in another thread
+        # from appending to it
+        buf, ids = self.records._buf, Counter()
+        for start in range(0, len(buf), _CHUNK):
+            ids.update(memoryview(buf[start:start + _CHUNK]).cast("q")[::3])
         counts: dict = {}
-        for row in self.records._rows:
-            counts[row[0]] = counts.get(row[0], 0) + 1
+        for rid, n in ids.items():
+            kernel = _signatures[rid][0]
+            counts[kernel] = counts.get(kernel, 0) + n
         return counts
 
     def snapshot(self) -> "CallLog":
-        return CallLog(CallRecords(self.records), self.element_writes,
-                       self.allocations)
+        records = CallRecords()
+        records._buf += self.records._buf
+        return CallLog(records, self.element_writes, self.allocations)
 
 
 _active_log = CallLog()
@@ -350,13 +405,41 @@ def current_backend():
 # dispatch layer: checks, logging and write accounting
 #
 # Element types are compared by identity first (numpy shares one dtype
-# object per native type); the call-log row is appended inline; the
-# backend is called by attribute, so a method replaced on the instance
-# is the one called.
+# object per native type); alpha and beta by exact type first, as the
+# lowered statements pass floats; the call-log record is appended inline;
+# the backend is called by attribute, so a method replaced on the
+# instance is the one called.
+#
+# Each kernel finds its row id in a dict keyed by the extents that
+# determine the others, one dict per combination of its trans flags, so
+# that the key is a tuple the call already holds or a flat one.  Kernels
+# that carry no scalar map their key to the whole packed record.  These
+# dicts, like the signature table, grow with the distinct signatures
+# seen, not with the calls.
 
-# Shapes and trans tuples in a row are interned: a fresh nested tuple
-# would keep the row tracked for one collector pass per level of nesting.
-_rows = _active_log.records._rows  # cleared in place, never replaced
+_buf = _active_log.records._buf  # cleared in place, never replaced
+_copy_recs: dict = {}
+_dot_recs: dict = {}
+_nrm2_recs: dict = {}
+_axpy_ids = ({}, {})  # by trans
+_gemv_ids = ({}, {})  # by trans
+_ger_ids: dict = {}
+_gemm_ids = ({}, {}, {}, {})  # by 2*trans_a + trans_b
+
+
+def _scalars(alpha, beta):
+    """``alpha`` and ``beta`` as floats, which both backends compute with
+    alike: DomainError unless each is a real number (a bool is not) that
+    a double holds.  NaN and infinities are real numbers here."""
+    out = []
+    for name, v in (("alpha", alpha), ("beta", beta)):
+        if not isinstance(v, Real) or isinstance(v, bool):
+            raise DomainError(f"{name} {v!r} is not a real number")
+        try:
+            out.append(float(v))
+        except OverflowError:
+            raise DomainError(f"{name} {v!r} overflows a double") from None
+    return out
 
 
 def _mixed_types(*tensors):
@@ -382,13 +465,17 @@ def _scale_only(view, beta, size) -> None:
 
 def copy(x, dest) -> None:
     """dest <- x, element for element."""
+    global _buf
     if x._data.dtype is not dest._data.dtype:
         _mixed_types(x, dest)
     xe = x.extents
     if xe != dest.extents:
         raise ShapeError(f"copy: shape mismatch {xe} vs {dest.extents}")
-    shapes = (xe, xe)
-    _rows.append(("copy", _intern(shapes, shapes), None, None, ()))
+    rec = _copy_recs.get(xe)
+    if rec is None:
+        rec = _copy_recs[xe] = _pack(
+            _row_id(("copy", (xe, xe), (), False, False)), 0.0, 0.0)
+    _buf += rec
     size = x._data.shape[0]
     if size == 0:
         return
@@ -406,6 +493,9 @@ def axpy(alpha, x, y, beta=1.0, trans=False) -> None:
     scales ``y`` first.  Alpha 0 does not read ``x``.  The call-log row
     carries beta unless it is 1, and trans ``(True,)`` when set.
     """
+    global _buf
+    if type(alpha) is not float or type(beta) is not float:
+        alpha, beta = _scalars(alpha, beta)
     xd, yd = x._data, y._data
     if xd.dtype is not yd.dtype:
         _mixed_types(x, y)
@@ -416,9 +506,12 @@ def axpy(alpha, x, y, beta=1.0, trans=False) -> None:
         xe = (xe[1], xe[0])
     if xe != y.extents:
         raise ShapeError(f"axpy: shape mismatch {xe} vs {y.extents}")
-    shapes, flags = (x.extents, xe), (True,) if trans else ()
-    _rows.append(("axpy", _intern(shapes, shapes), alpha,
-                  None if beta == 1.0 else beta, flags))
+    ids = _axpy_ids[1 if trans else 0]
+    rid = ids.get(xe)
+    if rid is None:
+        rid = ids[xe] = _row_id(("axpy", (x.extents, xe),
+                                 (True,) if trans else (), True, _UNLESS_1))
+    _buf += _pack(rid, alpha, beta)
     size = xd.shape[0]
     if size == 0:
         return
@@ -434,14 +527,18 @@ def axpy(alpha, x, y, beta=1.0, trans=False) -> None:
 
 def dot(x, y) -> float:
     """Inner product of two vectors."""
+    global _buf
     xd, yd = x._data, y._data
     if xd.dtype is not yd.dtype:
         _mixed_types(x, y)
     xe = x.extents
     if len(xe) != 1 or xe != y.extents:
         raise ShapeError(f"dot: incompatible vectors {xe} vs {y.extents}")
-    shapes = (xe, xe)
-    _rows.append(("dot", _intern(shapes, shapes), None, None, ()))
+    rec = _dot_recs.get(xe)
+    if rec is None:
+        rec = _dot_recs[xe] = _pack(
+            _row_id(("dot", (xe, xe), (), False, False)), 0.0, 0.0)
+    _buf += rec
     if xe[0] == 0:
         return 0.0
     return _current.dot(xd, yd)
@@ -449,11 +546,15 @@ def dot(x, y) -> float:
 
 def nrm2(x) -> float:
     """Euclidean norm of a vector, overflow-safe."""
+    global _buf
     xe = x.extents
     if len(xe) != 1:
         raise ShapeError(f"nrm2: expected a vector, got extents {xe}")
-    shapes = (xe,)
-    _rows.append(("nrm2", _intern(shapes, shapes), None, None, ()))
+    rec = _nrm2_recs.get(xe)
+    if rec is None:
+        rec = _nrm2_recs[xe] = _pack(
+            _row_id(("nrm2", (xe,), (), False, False)), 0.0, 0.0)
+    _buf += rec
     if xe[0] == 0:
         return 0.0
     return _current.nrm2(x._data)
@@ -462,6 +563,9 @@ def nrm2(x) -> float:
 def gemv(trans, alpha, a, x, beta, y) -> None:
     """y <- alpha*op(a)*x + beta*y.  Alpha 0 or an empty contraction
     leaves beta*y."""
+    global _buf
+    if type(alpha) is not float or type(beta) is not float:
+        alpha, beta = _scalars(alpha, beta)
     dt = a._data.dtype
     if x._data.dtype is not dt or y._data.dtype is not dt:
         _mixed_types(a, x, y)
@@ -474,9 +578,12 @@ def gemv(trans, alpha, a, x, beta, y) -> None:
             f"gemv: op(A) is {rows}x{cols}, x has length {xe[0]}, "
             f"y has length {ye[0]}"
         )
-    shapes, flags = (ae, xe, ye), (trans,)
-    _rows.append(("gemv", _intern(shapes, shapes), alpha, beta,
-                  _intern(flags, flags)))
+    ids = _gemv_ids[1 if trans else 0]
+    rid = ids.get(ae)
+    if rid is None:
+        rid = ids[ae] = _row_id(("gemv", (ae, xe, ye), (bool(trans),),
+                                 True, True))
+    _buf += _pack(rid, alpha, beta)
     if rows == 0:
         return
     if cols == 0 or alpha == 0.0:
@@ -489,6 +596,9 @@ def gemv(trans, alpha, a, x, beta, y) -> None:
 def ger(alpha, x, y, a, beta=1.0) -> None:
     """a <- alpha*x*yT + beta*a (rank-1 update).  The call-log row
     carries beta unless it is 1."""
+    global _buf
+    if type(alpha) is not float or type(beta) is not float:
+        alpha, beta = _scalars(alpha, beta)
     dt = a._data.dtype
     if x._data.dtype is not dt or y._data.dtype is not dt:
         _mixed_types(x, y, a)
@@ -499,9 +609,11 @@ def ger(alpha, x, y, a, beta=1.0) -> None:
         raise ShapeError(
             f"ger: A is {ae}, outer product is ({xe[0]}, {ye[0]})"
         )
-    shapes = (xe, ye, ae)
-    _rows.append(("ger", _intern(shapes, shapes), alpha,
-                  None if beta == 1.0 else beta, ()))
+    rid = _ger_ids.get(ae)
+    if rid is None:
+        rid = _ger_ids[ae] = _row_id(("ger", (xe, ye, ae), (), True,
+                                      _UNLESS_1))
+    _buf += _pack(rid, alpha, beta)
     size = ae[0] * ae[1]
     if size == 0:
         return
@@ -515,6 +627,9 @@ def ger(alpha, x, y, a, beta=1.0) -> None:
 def gemm(trans_a, trans_b, alpha, a, b, beta, c) -> None:
     """c <- alpha*op(a)*op(b) + beta*c.  Alpha 0 or an empty contraction
     leaves beta*c."""
+    global _buf
+    if type(alpha) is not float or type(beta) is not float:
+        alpha, beta = _scalars(alpha, beta)
     dt = a._data.dtype
     if b._data.dtype is not dt or c._data.dtype is not dt:
         _mixed_types(a, b, c)
@@ -527,9 +642,13 @@ def gemm(trans_a, trans_b, alpha, a, b, beta, c) -> None:
         raise ShapeError(
             f"gemm: op(A) is {m}x{ka}, op(B) is {kb}x{n}, C is {ce}"
         )
-    shapes, flags = (ae, be, ce), (trans_a, trans_b)
-    _rows.append(("gemm", _intern(shapes, shapes), alpha, beta,
-                  _intern(flags, flags)))
+    ids = _gemm_ids[(2 if trans_a else 0) + (1 if trans_b else 0)]
+    key = (m, ka, n)
+    rid = ids.get(key)
+    if rid is None:
+        rid = ids[key] = _row_id(("gemm", (ae, be, ce),
+                                  (bool(trans_a), bool(trans_b)), True, True))
+    _buf += _pack(rid, alpha, beta)
     if m == 0 or n == 0:
         return
     if ka == 0 or alpha == 0.0:

@@ -75,15 +75,15 @@ def _real(v):
     raise DomainError(f"element {v!r} is not a real number")
 
 
-def _index(i, extent):
+def _index(i, extent, what="index", out_of_range=BoundsError):
     """``i`` if it indexes ``range(extent)``: DomainError when it is not
-    an integer (a bool is not; a numpy integer is), BoundsError when it
-    is out of range."""
+    an integer (a bool is not; a numpy integer is), ``out_of_range`` when
+    it is out of range.  ``what`` names ``i`` in the message."""
     if type(i) is not int and (not isinstance(i, Integral)
                                or isinstance(i, bool)):
-        raise DomainError(f"index {i!r} is not an integer")
+        raise DomainError(f"{what} {i!r} is not an integer")
     if not 0 <= i < extent:
-        raise BoundsError(f"index {i} out of range [0, {extent})")
+        raise out_of_range(f"{what} {i} out of range [0, {extent})")
     return i
 
 
@@ -212,10 +212,11 @@ class Tensor:
         return self._data.dtype
 
     def stride(self, d) -> int:
-        """Linear-offset step along dimension ``d``; ``stride(rank)`` is the size."""
-        if not 0 <= d <= self.rank:
-            raise DomainError(f"dimension {d} out of range for rank {self.rank}")
-        return math.prod(self.extents[:d])
+        """Linear-offset step along dimension ``d``; ``stride(rank)`` is the
+        size.  ``d`` is checked as an index is, but DomainError when it
+        is out of range."""
+        return math.prod(
+            self.extents[:_index(d, self.rank + 1, "dimension", DomainError)])
 
     def offset_of(self, *indices) -> int:
         if len(indices) != self.rank:
@@ -271,12 +272,22 @@ class Tensor:
 
         Feed an offset from an outer dim_iter back in as ``base`` to walk
         nested dimensions; a full nest visits each offset exactly once.
+        ``d`` is checked as in :meth:`stride`, and ``base`` as an offset
+        into the buffer (BoundsError outside it); a ``base`` whose index
+        along ``d`` is not 0 raises DomainError, as its walk would leave
+        the dimension.  An empty tensor yields no offset.
         """
-        if not 0 <= d < self.rank:
-            raise DomainError(f"dimension {d} out of range for rank {self.rank}")
-        if self.size == 0:
+        _index(d, self.rank, "dimension", DomainError)
+        size = self.size
+        if size == 0:
             return range(0)
-        return range(base, base + self.stride(d + 1), self.stride(d))
+        step = self.stride(d)
+        _index(base, size, "base")
+        n = self.extents[d]
+        if base // step % n:
+            raise DomainError(f"base {base} has index {base // step % n} "
+                              f"along dimension {d}, not 0")
+        return range(base, base + step * n, step)
 
     # -- rank-specific interface ---------------------------------------------
 

@@ -1,10 +1,16 @@
 import gc
 import math
+import sys
+import threading
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lazyblas import (
+    DomainError,
     ShapeError,
     Tensor,
     UnknownBackendError,
@@ -179,9 +185,8 @@ def test_call_log_reads_as_a_sequence_of_records():
 
 
 def test_call_log_leaves_nothing_for_the_garbage_collector():
-    # a long log must not lengthen collection pauses: its rows are
-    # untracked on the collector's first pass, also when a destination's
-    # extents die with it
+    # a long log must not lengthen collection pauses: it holds no Python
+    # object per call, also when a destination's extents die with it
     x = vector(3)
     kernels.copy(x, Tensor(1, 3))
     gc.collect()
@@ -191,6 +196,239 @@ def test_call_log_leaves_nothing_for_the_garbage_collector():
         kernels.copy(x, Tensor(1, 3))
     gc.collect(0)
     assert len(gc.get_objects()) - n0 < 100
+
+
+# -- the call log's records ---------------------------------------------------
+
+
+def _round_trips():
+    """(call, the record it logs): every field as passed, None where the
+    row carries no scalar.  Calls of one shape with other scalars, flags
+    or a carried beta must not share a record."""
+    v, m = vector, matrix
+    rec = kernels.CallRecord
+    return [
+        (lambda: kernels.copy(v(3), v(3)), rec("copy", ((3,), (3,)))),
+        (lambda: kernels.copy(m(2, 3), m(2, 3)),
+         rec("copy", ((2, 3), (2, 3)))),
+        (lambda: kernels.axpy(0.1, v(3), v(3)),
+         rec("axpy", ((3,), (3,)), 0.1)),
+        (lambda: kernels.axpy(-3, v(3), v(3), 1.0),
+         rec("axpy", ((3,), (3,)), -3.0)),
+        (lambda: kernels.axpy(0.1, v(3), v(3), -0.25),
+         rec("axpy", ((3,), (3,)), 0.1, -0.25)),
+        (lambda: kernels.axpy(0.5, m(2, 2), m(2, 2), 0.0, True),
+         rec("axpy", ((2, 2), (2, 2)), 0.5, 0.0, (True,))),
+        (lambda: kernels.axpy(0.5, m(2, 2), m(2, 2), 0.0),
+         rec("axpy", ((2, 2), (2, 2)), 0.5, 0.0)),
+        (lambda: kernels.axpy(0.5, m(2, 3), m(3, 2), 1.0, True),
+         rec("axpy", ((2, 3), (3, 2)), 0.5, None, (True,))),
+        (lambda: kernels.dot(v(3), v(3)), rec("dot", ((3,), (3,)))),
+        (lambda: kernels.dot(v(0), v(0)), rec("dot", ((0,), (0,)))),
+        (lambda: kernels.nrm2(v(4)), rec("nrm2", ((4,),))),
+        (lambda: kernels.gemv(False, 0.1, m(3, 2), v(2), -2.5, v(3)),
+         rec("gemv", ((3, 2), (2,), (3,)), 0.1, -2.5, (False,))),
+        (lambda: kernels.gemv(True, np.float32(0.5), m(3, 2), v(3), 1.0,
+                              v(2)),
+         rec("gemv", ((3, 2), (3,), (2,)), 0.5, 1.0, (True,))),
+        (lambda: kernels.ger(0.1, v(3), v(2), m(3, 2)),
+         rec("ger", ((3,), (2,), (3, 2)), 0.1)),
+        (lambda: kernels.ger(1e300, v(3), v(2), m(3, 2), -0.5),
+         rec("ger", ((3,), (2,), (3, 2)), 1e300, -0.5)),
+        (lambda: kernels.ger(0.1, v(3), v(2), m(3, 2), 1.0),
+         rec("ger", ((3,), (2,), (3, 2)), 0.1)),
+        (lambda: kernels.gemm(False, True, 0.1, m(3, 2), m(4, 2), 2.0,
+                              m(3, 4)),
+         rec("gemm", ((3, 2), (4, 2), (3, 4)), 0.1, 2.0, (False, True))),
+        (lambda: kernels.gemm(True, False, np.int64(3), m(2, 3), m(2, 4),
+                              0.0, m(3, 4)),
+         rec("gemm", ((2, 3), (2, 4), (3, 4)), 3.0, 0.0, (True, False))),
+        (lambda: kernels.gemm(True, True, -1.5, m(2, 2), m(2, 2), 1.0,
+                              m(2, 2)),
+         rec("gemm", ((2, 2), (2, 2), (2, 2)), -1.5, 1.0, (True, True))),
+        (lambda: kernels.gemm(False, False, -1.5, m(2, 2), m(2, 2), 1.0,
+                              m(2, 2)),
+         rec("gemm", ((2, 2), (2, 2), (2, 2)), -1.5, 1.0, (False, False))),
+        (lambda: kernels.gemm(False, False, 0.75, m(0, 2), m(2, 3), 0.5,
+                              m(0, 3)),
+         rec("gemm", ((0, 2), (2, 3), (0, 3)), 0.75, 0.5, (False, False))),
+    ]
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_every_record_reads_back_as_passed(backend):
+    select_backend(backend)
+    cases = _round_trips()
+    reset_log()
+    for call, want in cases + cases[::-1]:
+        call()
+        assert log().records[-1] == want
+    want = [w for _, w in cases + cases[::-1]]
+    assert list(log().records) == want
+    assert log().records == want
+    counts = {}
+    for w in want:
+        counts[w.kernel] = counts.get(w.kernel, 0) + 1
+    assert log().kernel_counts() == counts
+
+
+def test_records_index_slice_iterate_and_compare():
+    cases = _round_trips()
+    want = [w for _, w in cases]
+    for call, _ in cases:
+        call()
+    records = log().records
+    n = len(want)
+    assert len(records) == n
+    for i in (0, 5, n - 1, -1, -n):
+        assert records[i] == want[i]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            records[i]
+    for s in (slice(1, 4), slice(None, None, -2), slice(-3, None),
+              slice(n + 5, None), slice(None)):
+        assert records[s] == want[s]
+    assert list(iter(records)) == want
+    assert records == want and records != want[:-1]
+    assert records == kernels.CallRecords(want)  # not byte for byte
+    assert records != kernels.CallRecords(want[1:])
+    assert (records == 3) is False
+    assert repr(records) == f"CallRecords({want!r})"
+    assert records.index(want[2]) == 2 and want[3] in records
+
+
+def test_a_snapshot_keeps_its_records_through_later_calls():
+    kernels.gemm(False, False, 0.5, matrix(2, 2), matrix(2, 2), 0.25,
+                 matrix(2, 2))
+    snap = log().snapshot()
+    want = list(snap.records)
+    writes, allocs = snap.element_writes, snap.allocations
+    kernels.axpy(2.0, vector(3), vector(3))
+    assert len(log().records) == 2
+    reset_log()
+    kernels.dot(vector(3), vector(3))
+    assert list(snap.records) == want == [kernels.CallRecord(
+        "gemm", ((2, 2), (2, 2), (2, 2)), 0.5, 0.25, (False, False))]
+    assert (snap.element_writes, snap.allocations) == (writes, allocs)
+
+
+def test_reset_clears_the_buffer_the_kernels_append_to():
+    buf = log().records._buf
+    kernels.dot(vector(3), vector(3))
+    reset_log()
+    assert log().records._buf is buf and len(log().records) == 0
+    kernels.nrm2(vector(3))
+    assert [r.kernel for r in log().records] == ["nrm2"]
+
+
+def test_counting_kernels_lets_other_threads_append():
+    # a view held on the record buffer while counting would make a kernel
+    # call in another thread fail to append its record
+    x = vector(2)
+    for _ in range(1000):
+        kernels.dot(x, x)
+    errors = []
+
+    def work():
+        try:
+            for _ in range(2000):
+                kernels.dot(x, x)
+        except Exception as e:  # reported below
+            errors.append(e)
+
+    threads = [threading.Thread(target=work) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        while any(t.is_alive() for t in threads):
+            log().kernel_counts()
+        for t in threads:
+            t.join(10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert log().kernel_counts() == {"dot": 1000 + 3 * 2000}
+
+
+def test_a_record_takes_24_bytes():
+    # 10^5 calls; a tuple row per call took 8.8 MB
+    x = vector(2)
+    reset_log()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(100_000):
+            kernels.dot(x, x)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log().records) == 100_000
+    assert grown <= 3.2e6
+
+
+# -- alpha and beta -----------------------------------------------------------
+
+
+# each kernel that takes scalars: its call, and its operands' extents,
+# the destination last
+SCALAR_KERNELS = {
+    "axpy": (lambda a, b, t: kernels.axpy(a, t[0], t[1], b), [(3,), (3,)]),
+    "gemv": (lambda a, b, t: kernels.gemv(False, a, t[0], t[1], b, t[2]),
+             [(3, 2), (2,), (3,)]),
+    "ger": (lambda a, b, t: kernels.ger(a, t[0], t[1], t[2], b),
+            [(3,), (2,), (3, 2)]),
+    "gemm": (lambda a, b, t: kernels.gemm(False, False, a, t[0], t[1], b,
+                                          t[2]),
+             [(3, 2), (2, 2), (3, 2)]),
+}
+
+
+def _scalar_call(kernel, alpha, beta, dtype=np.float64):
+    """The kernel's operands, filled with thirds, and a call on them."""
+    call, extents = SCALAR_KERNELS[kernel]
+    tensors = [Tensor(len(e), *e, fill=1 / 3, dtype=dtype) for e in extents]
+    return tensors, lambda: call(alpha, beta, tensors)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("kernel", sorted(SCALAR_KERNELS))
+@pytest.mark.parametrize("bad", [1j, None, "2", True, np.True_, 10**400,
+                                 Decimal("0.5"), np.array(2.0), [2.0]],
+                         ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("slot", ["alpha", "beta"])
+def test_a_scalar_that_is_not_a_real_number_raises_first(backend, kernel,
+                                                         bad, slot):
+    select_backend(backend)
+    alpha, beta = (bad, 0.5) if slot == "alpha" else (0.5, bad)
+    tensors, call = _scalar_call(kernel, alpha, beta)
+    before = [t.to_numpy() for t in tensors]
+    reset_log()
+    with pytest.raises(DomainError, match=slot):
+        call()
+    assert log().records == [] and log().element_writes == 0
+    for t, b in zip(tensors, before):
+        np.testing.assert_array_equal(t.to_numpy(), b)
+
+
+@pytest.mark.parametrize("backend,dtype", BACKEND_DTYPES)
+@pytest.mark.parametrize("kernel", sorted(SCALAR_KERNELS))
+@pytest.mark.parametrize("alpha,beta", [
+    (2, -1), (np.float32(0.1), np.float64(0.3)), (np.int64(3), 0.0),
+    (Fraction(1, 3), Fraction(3, 4)), (-0.0, 1.0),
+    (math.inf, 0.0)], ids=repr)
+def test_real_scalars_compute_and_log_as_their_floats(backend, dtype, kernel,
+                                                      alpha, beta):
+    select_backend(backend)
+    want, call = _scalar_call(kernel, float(alpha), float(beta), dtype)
+    call()
+    got, call = _scalar_call(kernel, alpha, beta, dtype)
+    call()
+    np.testing.assert_array_equal(got[-1].to_numpy(), want[-1].to_numpy())
+    assert len(log().records) == 2 and log().records[1] == log().records[0]
 
 
 # -- dot / nrm2 ---------------------------------------------------------------

@@ -298,6 +298,55 @@ def test_dim_iter_out_of_range():
         Tensor(2, 2).dim_iter(2)
 
 
+@pytest.mark.parametrize("d", [True, False, 1.5, 1.0, "1", None], ids=repr)
+def test_a_dimension_that_is_not_an_integer_raises(d):
+    t = Tensor(2, 3, 4)
+    with pytest.raises(DomainError, match="not an integer"):
+        t.stride(d)
+    with pytest.raises(DomainError, match="not an integer"):
+        t.dim_iter(d)
+
+
+def test_dimensions_and_bases_may_be_numpy_integers():
+    t = Tensor(2, 3, 4)
+    assert t.stride(np.int64(1)) == 3 and t.stride(np.int32(2)) == 12
+    assert list(t.dim_iter(np.int64(1), np.int64(2))) == [2, 5, 8, 11]
+
+
+@pytest.mark.parametrize("d,base", [(0, 12), (0, 100), (0, -1), (1, 12),
+                                    (1, -3)])
+def test_a_base_outside_the_buffer_raises(d, base):
+    t = Tensor(2, 3, 4)
+    with pytest.raises(BoundsError):
+        t.dim_iter(d, base)
+
+
+@pytest.mark.parametrize("d,base", [(0, 1), (0, 5), (1, 3), (1, 11)])
+def test_a_base_off_the_start_of_its_dimension_raises(d, base):
+    # from base 1 a walk down a column of a 3x4 matrix would wrap into
+    # the next column
+    t = Tensor(2, 3, 4)
+    with pytest.raises(DomainError, match="along dimension"):
+        t.dim_iter(d, base)
+
+
+@pytest.mark.parametrize("base", [True, 1.0, "3"], ids=repr)
+def test_a_base_that_is_not_an_integer_raises(base):
+    with pytest.raises(DomainError, match="not an integer"):
+        Tensor(2, 3, 4).dim_iter(0, base)
+
+
+def test_every_base_an_outer_walk_yields_is_accepted():
+    t = Tensor(3, 2, 3, 4)
+    for d in range(3):
+        step, n = t.stride(d), t.extents[d]
+        for base in range(t.size):
+            if base // step % n == 0:
+                assert list(t.dim_iter(d, base)) == [base + k * step
+                                                     for k in range(n)]
+    assert list(Tensor(2, 0, 3).dim_iter(1, 5)) == []  # nothing to walk
+
+
 def test_nested_dim_iter_full_coverage(rng):
     for _ in range(10):
         rank = int(rng.integers(1, 5))

@@ -30,7 +30,7 @@ import numpy as np
 from . import kernels
 from .errors import DomainError, UnknownBackendError
 from .expr import assign, evaluate, transpose
-from .tensor import Tensor
+from .tensor import Tensor, _integer
 
 __all__ = ["BenchSpec", "BenchRecord", "run", "emit_csv", "report_overhead", "main"]
 
@@ -47,6 +47,11 @@ ALPHA, BETA = 0.5, 0.25
 
 @dataclass
 class BenchSpec:
+    """What to time.  ``sizes`` (default: the operation's own list) must
+    be positive and strictly increasing, and ``repetitions`` at least 1;
+    each must be an integer (a bool is not one; a numpy integer is).  Any
+    other value raises DomainError when the spec is built."""
+
     operation: str
     sizes: tuple = ()
     repetitions: int = 10
@@ -61,11 +66,12 @@ class BenchSpec:
             )
         if not self.sizes:
             self.sizes = DEFAULT_SIZES[self.operation]
-        self.sizes = tuple(int(n) for n in self.sizes)
+        self.sizes = tuple(_integer(n, "size") for n in self.sizes)
         if any(n <= 0 for n in self.sizes):
             raise DomainError("sizes must be positive")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise DomainError("sizes must be strictly increasing")
+        self.repetitions = _integer(self.repetitions, "repetitions")
         if self.repetitions < 1:
             raise DomainError("repetitions must be >= 1")
 

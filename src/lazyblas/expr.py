@@ -36,8 +36,15 @@ a gemm.  A temporary, like ``evaluate``'s result (which is one), starts
 zeroed and its addends accumulate into it.  A scalar-valued factor is
 computed first, by dots, and scales the side it multiplies.  A
 statement that mixes float32 and float64 raises TypeError before
-anything is allocated or written, and so does one whose destination is
-not a Tensor.
+anything is allocated or written, with the kernels' message, and so
+does one whose destination is not a Tensor.  The walk tests the
+destination's storage with the kernels' own overlap test.
+
+A scalar operand, and the value given to :func:`lit`, which takes what
+the operators take, must be a real number (a bool is not one):
+anything else raises TypeError, as Python's operators do, and a value
+that a double cannot hold, such as ``10**400``, raises DomainError, as
+it does as a kernel's alpha or a tensor's fill.
 
 Expression trees hold tensor references, never copies, and are only
 valid for the duration of the statement that builds them.
@@ -45,11 +52,8 @@ valid for the duration of the statement that builds them.
 
 from __future__ import annotations
 
-from numbers import Real
-
-import numpy as np
-
 from . import kernels
+from .kernels import _overlaps, _real, _same_types
 from .errors import AliasingError, ShapeError, UnsupportedOperationError
 from .tensor import Tensor
 
@@ -230,21 +234,22 @@ class Product(Node):
 
 
 def _as_node(x):
+    """``x`` as a node: a tensor as a leaf, a scalar as a Literal of its
+    float.  A scalar must be a real number that a double holds, as the
+    kernels' alpha must, but a value that is not a real number raises
+    TypeError, as Python's own operators do."""
     # exact types first: the Real ABC check costs more than the rest
     t = type(x)
     if t is Tensor:
         return Term(1.0, x)
     if t is float:
         return Literal(x)
-    if t is int:
-        return Literal(float(x))
-    if isinstance(x, Node):
-        return x
-    if isinstance(x, Tensor):
-        return Term(1.0, x)
-    if isinstance(x, Real) and not isinstance(x, bool):
-        return Literal(float(x))
-    raise TypeError(f"cannot use {type(x).__name__} in a tensor expression")
+    if t is not int:
+        if isinstance(x, Node):
+            return x
+        if isinstance(x, Tensor):
+            return Term(1.0, x)
+    return Literal(_real(x, "operand", TypeError))
 
 
 def _product(left, right):
@@ -257,8 +262,9 @@ def _product(left, right):
 
 
 def lit(value) -> Literal:
-    """Wrap a scalar constant as an expression node."""
-    return Literal(float(value))
+    """Wrap a scalar constant as an expression node; it takes what the
+    operators take (TypeError, or DomainError for an overflow)."""
+    return Literal(_real(value, "literal", TypeError))
 
 
 def leaf(tensor) -> Term:
@@ -352,22 +358,18 @@ def _walk(n, dest, dt, shared):
     relies on, so that a statement that raises allocates and writes
     nothing: kinds combine (ShapeError naming both), every leaf holds
     ``dt`` elements (TypeError; None skips), and ``dest``'s storage
-    occurs in no product (AliasingError).  A leaf overlapping it in an
-    additive position is appended to ``shared`` (None below a product).
-    Overlap counts, not only identity; buffers that two tensors allocated
-    themselves cannot overlap, so they skip the storage test.  Each
+    occurs in no product (AliasingError).  A leaf overlapping it
+    (``kernels._overlaps``: identity, or a shared element) in an additive
+    position is appended to ``shared`` (None below a product).  Each
     product gets its ``plan``: its ``_PRODUCTS`` op (None beside a scalar
     factor), its factors' kinds and ``dt``, the element type of any
     temporary that lowering it allocates."""
     t = type(n)
     if t is Term:
         x = n.tensor
-        data = x._data
-        if data.dtype is not dt and dt is not None and data.dtype != dt:
-            raise TypeError(f"mixed element types: {dt} vs {data.dtype}")
-        if dest is not None and (x is dest or (
-                not (x.owns_storage and dest.owns_storage)
-                and np.shares_memory(data, dest._data))):
+        if x._data.dtype is not dt and dt is not None:
+            _same_types(dt, x)
+        if dest is not None and _overlaps(dest, x):
             if shared is None:
                 raise AliasingError(
                     "destination appears as a multiplicand operand in this "
@@ -650,7 +652,8 @@ def accumulate(dest, e):
 
 
 # ---------------------------------------------------------------------------
-# operator surface on Tensor (attached here to keep tensor.py kernel-free)
+# operator surface on Tensor (attached here: expr imports tensor, so tensor
+# cannot import expr)
 
 
 def _tensor_mul(self, other):

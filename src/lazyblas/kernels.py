@@ -26,9 +26,21 @@ numpy on both backends, as scipy exposes no transposing copy
 (``omatcopy``).
 
 Alpha and beta must be real numbers that a double holds (a bool is
-not one; NaN and infinities are): anything else raises DomainError
-before the call is logged or an element written, on both backends.
-The kernels compute with them, and log them, as floats.
+not one; NaN and infinities are): anything else, ``10**400`` included,
+raises DomainError before the call is logged or an element written, on
+both backends.  The kernels compute with them, and log them, as floats.
+:func:`_real` is that rule for every value the library takes: tensor
+fills and elements, and expression scalars, check with it too.  Tensors
+of different element types raise TypeError, with the same message as a
+statement that mixes them.
+
+A destination that overlaps an operand raises AliasingError, before
+the call is logged or an element written, on both backends: BLAS would
+read elements it has already overwritten.  Overlap is identity, or, when
+either tensor is a view (``Tensor.wrap``), any shared element.  An axpy
+with alpha 0 reads no ``x``, so it allows any overlap: a statement
+scales its destination in place with ``axpy(0.0, dest, dest, beta)``.
+:func:`_overlaps` is the one test, which the statement walk uses too.
 
 Alpha 0 reads no operand but the destination, at any beta, as BLAS
 does: the destination becomes ``beta*dest`` (zeros for beta 0, no write
@@ -49,7 +61,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, UnknownBackendError
+from .errors import AliasingError, DomainError, ShapeError, UnknownBackendError
 
 __all__ = [
     "CallLog",
@@ -427,27 +439,53 @@ _ger_ids: dict = {}
 _gemm_ids = ({}, {}, {}, {})  # by 2*trans_a + trans_b
 
 
-def _scalars(alpha, beta):
-    """``alpha`` and ``beta`` as floats, which both backends compute with
-    alike: DomainError unless each is a real number (a bool is not) that
-    a double holds.  NaN and infinities are real numbers here."""
-    out = []
-    for name, v in (("alpha", alpha), ("beta", beta)):
-        if not isinstance(v, Real) or isinstance(v, bool):
-            raise DomainError(f"{name} {v!r} is not a real number")
-        try:
-            out.append(float(v))
-        except OverflowError:
-            raise DomainError(f"{name} {v!r} overflows a double") from None
-    return out
+def _real(v, what, not_real=DomainError):
+    """``v`` as a float if it is a real number that a double holds (a bool
+    is not one; NaN and infinities are).  ``not_real`` otherwise, and
+    DomainError when it overflows a double.  ``what`` names ``v`` in the
+    message."""
+    if type(v) is float:
+        return v
+    if type(v) is not int and (not isinstance(v, Real)
+                               or isinstance(v, bool)):
+        raise not_real(
+            f"{what} {v!r} is a {type(v).__name__}, not a real number")
+    try:
+        f = float(v)
+    except OverflowError:
+        f = math.inf
+    if math.isinf(f) and f != v:  # finite, but beyond a double's range
+        raise DomainError(f"{what} {v!r} overflows a double")
+    return f
 
 
-def _mixed_types(*tensors):
-    """TypeError unless the tensors' element types are equal."""
-    dt = tensors[0]._data.dtype
-    for t in tensors[1:]:
+def _same_types(dt, *tensors):
+    """TypeError unless every tensor holds ``dt`` elements."""
+    for t in tensors:
         if t._data.dtype != dt:
             raise TypeError(f"mixed element types: {dt} vs {t.dtype}")
+
+
+def _overlaps(dest, x, y=None) -> bool:
+    """Whether ``dest`` shares storage with ``x`` or with ``y`` (None: no
+    second operand): it is one of them, or it and one of them share an
+    element where either of the two is a view.  Buffers that two tensors
+    allocated themselves cannot overlap, so such a pair skips the storage
+    test, and when all of them did, identity is the whole test."""
+    own = dest.owns_storage
+    if own and x.owns_storage and (y is None or y.owns_storage):
+        return x is dest or y is dest
+    return (x is dest or y is dest
+            or not (own and x.owns_storage)
+            and np.shares_memory(x._data, dest._data)
+            or y is not None and not (own and y.owns_storage)
+            and np.shares_memory(y._data, dest._data))
+
+
+def _aliased(kernel):
+    return AliasingError(
+        f"{kernel}: the destination overlaps an operand; write into a "
+        f"tensor of its own")
 
 
 def _scale_only(view, beta, size) -> None:
@@ -467,7 +505,7 @@ def copy(x, dest) -> None:
     """dest <- x, element for element."""
     global _buf
     if x._data.dtype is not dest._data.dtype:
-        _mixed_types(x, dest)
+        _same_types(x._data.dtype, dest)
     xe = x.extents
     if xe != dest.extents:
         raise ShapeError(f"copy: shape mismatch {xe} vs {dest.extents}")
@@ -490,15 +528,17 @@ def axpy(alpha, x, y, beta=1.0, trans=False) -> None:
     storage order.  ``trans`` reads matrix ``x`` transposed, so ``y``'s
     extents are ``x``'s reversed.  Beta 0 does not read ``y``: one pass
     writes ``alpha*x``.  Beta 1 is the plain BLAS axpy; any other beta
-    scales ``y`` first.  Alpha 0 does not read ``x``.  The call-log row
-    carries beta unless it is 1, and trans ``(True,)`` when set.
+    scales ``y`` first.  Alpha 0 does not read ``x``, so only then may
+    ``x`` overlap ``y``; otherwise that raises AliasingError.
+    The call-log row carries beta unless it is 1, and trans ``(True,)``
+    when set.
     """
     global _buf
     if type(alpha) is not float or type(beta) is not float:
-        alpha, beta = _scalars(alpha, beta)
+        alpha, beta = _real(alpha, "alpha"), _real(beta, "beta")
     xd, yd = x._data, y._data
     if xd.dtype is not yd.dtype:
-        _mixed_types(x, y)
+        _same_types(xd.dtype, y)
     xe = x.extents
     if trans:
         if len(xe) != 2:
@@ -506,6 +546,8 @@ def axpy(alpha, x, y, beta=1.0, trans=False) -> None:
         xe = (xe[1], xe[0])
     if xe != y.extents:
         raise ShapeError(f"axpy: shape mismatch {xe} vs {y.extents}")
+    if alpha != 0.0 and _overlaps(y, x):
+        raise _aliased("axpy")
     ids = _axpy_ids[1 if trans else 0]
     rid = ids.get(xe)
     if rid is None:
@@ -530,7 +572,7 @@ def dot(x, y) -> float:
     global _buf
     xd, yd = x._data, y._data
     if xd.dtype is not yd.dtype:
-        _mixed_types(x, y)
+        _same_types(xd.dtype, y)
     xe = x.extents
     if len(xe) != 1 or xe != y.extents:
         raise ShapeError(f"dot: incompatible vectors {xe} vs {y.extents}")
@@ -562,13 +604,14 @@ def nrm2(x) -> float:
 
 def gemv(trans, alpha, a, x, beta, y) -> None:
     """y <- alpha*op(a)*x + beta*y.  Alpha 0 or an empty contraction
-    leaves beta*y."""
+    leaves beta*y.  ``y`` overlapping ``a`` or ``x`` raises
+    AliasingError."""
     global _buf
     if type(alpha) is not float or type(beta) is not float:
-        alpha, beta = _scalars(alpha, beta)
+        alpha, beta = _real(alpha, "alpha"), _real(beta, "beta")
     dt = a._data.dtype
     if x._data.dtype is not dt or y._data.dtype is not dt:
-        _mixed_types(a, x, y)
+        _same_types(dt, x, y)
     ae, xe, ye = a.extents, x.extents, y.extents
     if len(ae) != 2 or len(xe) != 1 or len(ye) != 1:
         raise ShapeError("gemv: expected matrix, vector, vector")
@@ -578,6 +621,8 @@ def gemv(trans, alpha, a, x, beta, y) -> None:
             f"gemv: op(A) is {rows}x{cols}, x has length {xe[0]}, "
             f"y has length {ye[0]}"
         )
+    if _overlaps(y, a, x):
+        raise _aliased("gemv")
     ids = _gemv_ids[1 if trans else 0]
     rid = ids.get(ae)
     if rid is None:
@@ -595,13 +640,14 @@ def gemv(trans, alpha, a, x, beta, y) -> None:
 
 def ger(alpha, x, y, a, beta=1.0) -> None:
     """a <- alpha*x*yT + beta*a (rank-1 update).  The call-log row
-    carries beta unless it is 1."""
+    carries beta unless it is 1.  ``a`` overlapping ``x`` or ``y`` raises
+    AliasingError."""
     global _buf
     if type(alpha) is not float or type(beta) is not float:
-        alpha, beta = _scalars(alpha, beta)
+        alpha, beta = _real(alpha, "alpha"), _real(beta, "beta")
     dt = a._data.dtype
     if x._data.dtype is not dt or y._data.dtype is not dt:
-        _mixed_types(x, y, a)
+        _same_types(dt, x, y)
     xe, ye, ae = x.extents, y.extents, a.extents
     if len(xe) != 1 or len(ye) != 1 or len(ae) != 2:
         raise ShapeError("ger: expected vector, vector, matrix")
@@ -609,6 +655,8 @@ def ger(alpha, x, y, a, beta=1.0) -> None:
         raise ShapeError(
             f"ger: A is {ae}, outer product is ({xe[0]}, {ye[0]})"
         )
+    if _overlaps(a, x, y):
+        raise _aliased("ger")
     rid = _ger_ids.get(ae)
     if rid is None:
         rid = _ger_ids[ae] = _row_id(("ger", (xe, ye, ae), (), True,
@@ -626,13 +674,14 @@ def ger(alpha, x, y, a, beta=1.0) -> None:
 
 def gemm(trans_a, trans_b, alpha, a, b, beta, c) -> None:
     """c <- alpha*op(a)*op(b) + beta*c.  Alpha 0 or an empty contraction
-    leaves beta*c."""
+    leaves beta*c.  ``c`` overlapping ``a`` or ``b`` raises
+    AliasingError."""
     global _buf
     if type(alpha) is not float or type(beta) is not float:
-        alpha, beta = _scalars(alpha, beta)
+        alpha, beta = _real(alpha, "alpha"), _real(beta, "beta")
     dt = a._data.dtype
     if b._data.dtype is not dt or c._data.dtype is not dt:
-        _mixed_types(a, b, c)
+        _same_types(dt, b, c)
     ae, be, ce = a.extents, b.extents, c.extents
     if len(ae) != 2 or len(be) != 2 or len(ce) != 2:
         raise ShapeError("gemm: expected three matrices")
@@ -642,6 +691,8 @@ def gemm(trans_a, trans_b, alpha, a, b, beta, c) -> None:
         raise ShapeError(
             f"gemm: op(A) is {m}x{ka}, op(B) is {kb}x{n}, C is {ce}"
         )
+    if _overlaps(c, a, b):
+        raise _aliased("gemm")
     ids = _gemm_ids[(2 if trans_a else 0) + (1 if trans_b else 0)]
     key = (m, ka, n)
     rid = ids.get(key)

@@ -8,6 +8,16 @@ extents.  That layout is exactly what the BLAS-style kernels in
 :mod:`lazyblas.kernels` expect, so a matrix can be handed to them with
 leading dimension equal to its row extent and no copies.
 
+Each input has one check, shared by every entry point that takes it.
+A rank, an extent, an index, a dimension or an offset must be an
+integer (:func:`_integer`: an ``int`` or a numpy integer, never a bool),
+or DomainError.  A fill, a callable fill's result, a ``from_nested``
+leaf and an element write must be a real number that a double holds
+(``kernels._real``: never a bool; NaN and infinities are real numbers),
+or DomainError, ``10**400`` included.  Every tensor that allocates its
+buffer, ``from_nested``'s included, does so in the constructor, which
+counts it in ``log().allocations``.
+
 Tensors are plain value containers: concurrent reads are safe, writes
 need external exclusion.
 """
@@ -15,17 +25,29 @@ need external exclusion.
 from __future__ import annotations
 
 import math
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
 from . import kernels
+from .kernels import _real
 from .errors import ArityError, BoundsError, DomainError, RankError
 
 __all__ = ["Tensor", "matrix", "vector", "format_tensor"]
 
 
 _F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
+
+
+def _integer(v, what):
+    """``v`` as an int if it is an integer (a bool is not one; a numpy
+    integer is), DomainError otherwise.  ``what`` names ``v`` in the
+    message."""
+    if type(v) is int:
+        return v
+    if not isinstance(v, Integral) or isinstance(v, bool):
+        raise DomainError(f"{what} {v!r} is not an integer")
+    return int(v)
 
 
 def _resolve_extents(rank, extents):
@@ -36,20 +58,19 @@ def _resolve_extents(rank, extents):
                 break
         else:
             return extents
-    if not isinstance(rank, Integral) or rank < 1:
+    rank = _integer(rank, "rank")
+    if rank < 1:
         raise DomainError(f"rank must be a positive integer, got {rank!r}")
     if len(extents) == 0:
         raise ArityError("at least one extent is required")
     if len(extents) > rank:
         raise ArityError(f"got {len(extents)} extents for rank {rank}")
-    for e in extents:
-        if not isinstance(e, Integral):
-            raise DomainError(f"extent {e!r} is not an integer")
+    full = tuple(_integer(e, "extent") for e in extents)
+    for e in full:
         if e < 0:
             raise DomainError(f"negative extent {e}")
     # fewer extents than the rank: replicate the last one (square shorthand)
-    full = tuple(extents) + (extents[-1],) * (rank - len(extents))
-    return tuple(int(e) for e in full)
+    return full + (full[-1],) * (rank - len(full))
 
 
 def _real_dtype(dtype):
@@ -66,22 +87,12 @@ def _real_dtype(dtype):
     return dt
 
 
-def _real(v):
-    """``v`` if it is a real number (a bool is not), DomainError otherwise;
-    NaN and infinities are real numbers here."""
-    if type(v) is float or type(v) is int or (
-            isinstance(v, Real) and not isinstance(v, bool)):
-        return v
-    raise DomainError(f"element {v!r} is not a real number")
-
-
 def _index(i, extent, what="index", out_of_range=BoundsError):
     """``i`` if it indexes ``range(extent)``: DomainError when it is not
-    an integer (a bool is not; a numpy integer is), ``out_of_range`` when
-    it is out of range.  ``what`` names ``i`` in the message."""
-    if type(i) is not int and (not isinstance(i, Integral)
-                               or isinstance(i, bool)):
-        raise DomainError(f"{what} {i!r} is not an integer")
+    an integer (:func:`_integer`), ``out_of_range`` when it is out of
+    range.  ``what`` names ``i`` in the message."""
+    if type(i) is not int:
+        i = _integer(i, what)
     if not 0 <= i < extent:
         raise out_of_range(f"{what} {i} out of range [0, {extent})")
     return i
@@ -117,9 +128,9 @@ class Tensor:
         elif callable(fill):
             view = np.empty(ext, dtype, "F")
             for idx in np.ndindex(ext):
-                view[idx] = _real(fill(*idx))
+                view[idx] = _real(fill(*idx), "fill")
         else:
-            view = np.full(ext, _real(fill), dtype, "F")
+            view = np.full(ext, _real(fill, "fill"), dtype, "F")
         self._view = view
         self._data = view if len(ext) == 1 else view.ravel("F")
         kernels.log().allocations += 1
@@ -160,9 +171,9 @@ class Tensor:
         Nesting depth sets the rank, the outermost list is dimension 0.
         Ragged nesting is rejected: silently truncating siblings of
         unequal length would corrupt data.  Every leaf must be a real
-        number (DomainError otherwise).
+        number that a double holds, as a fill must (DomainError otherwise).
+        The tensor is built by the constructor, after every leaf is checked.
         """
-        dtype = _real_dtype(dtype)
         extents = []
         level = nested
         while isinstance(level, (list, tuple)):
@@ -173,11 +184,13 @@ class Tensor:
         if not extents:
             raise DomainError("from_nested expects a nested list or tuple")
 
+        leaves = []  # in nesting order: the last dimension varies fastest
+
         def check(node, depth):
             if depth == len(extents):
                 if isinstance(node, (list, tuple)):
                     raise DomainError("inconsistent nesting depth")
-                _real(node)
+                leaves.append(_real(node, "element"))
                 return
             if not isinstance(node, (list, tuple)) or len(node) != extents[depth]:
                 raise DomainError(
@@ -188,13 +201,8 @@ class Tensor:
                 check(child, depth + 1)
 
         check(nested, 0)
-        arr = np.array(nested, dtype=dtype)
-        t = cls.__new__(cls)
-        t.extents = tuple(arr.shape)
-        t._data = arr.ravel(order="F")  # outermost list = dimension 0
-        t.owns_storage = True
-        t._view = _column_view(t._data, t.extents)
-        kernels.log().allocations += 1
+        t = cls(len(extents), *extents, dtype=dtype)
+        t._view[...] = np.reshape(leaves, extents)  # outer list = dimension 0
         return t
 
     # -- basic geometry ----------------------------------------------------
@@ -240,7 +248,7 @@ class Tensor:
         number, as in the constructors (DomainError otherwise); ``t[i] = v``
         and ``t[i][j] = v`` come here too."""
         *indices, value = args
-        self._data[self.offset_of(*indices)] = _real(value)
+        self._data[self.offset_of(*indices)] = _real(value, "element")
 
     def value_at(self, offset):
         """Element at a linear buffer offset (pairs with dim_iter); the

@@ -27,10 +27,25 @@ def test_spec_defaults_fill_size_grid():
     dict(operation="dot", sizes=(16, 8)),
     dict(operation="dot", sizes=(0, 8)),
     dict(operation="dot", repetitions=0),
+    # sizes and repetitions are integers: no truncation, no parsing, no
+    # bool, and no failure later inside run's range()
+    dict(operation="dot", sizes=(8.7,)),
+    dict(operation="dot", sizes=("8",)),
+    dict(operation="dot", sizes=(True,)),
+    dict(operation="dot", repetitions=2.5),
+    dict(operation="dot", repetitions=True),
+    dict(operation="dot", repetitions="3"),
 ])
 def test_spec_validation(bad):
     with pytest.raises(DomainError):
         BenchSpec(**bad)
+
+
+def test_spec_takes_numpy_integers_as_ints():
+    spec = BenchSpec("dot", sizes=(np.int64(8), np.int32(16)),
+                     repetitions=np.int64(2))
+    assert spec.sizes == (8, 16) and spec.repetitions == 2
+    assert all(type(v) is int for v in spec.sizes + (spec.repetitions,))
 
 
 def test_run_record_count_and_fields():

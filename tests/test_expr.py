@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from lazyblas import (
     AliasingError,
+    DomainError,
     SCALAR,
     ShapeError,
     Tensor,
@@ -48,6 +51,39 @@ def test_lit_and_leaf():
     out = evaluate(leaf(a))
     np.testing.assert_array_equal(out.to_numpy(), a.to_numpy())
     assert out is not a
+    with pytest.raises(TypeError):
+        leaf(a.to_numpy())
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "2.5", None, 1j, [2.0],
+                                   np.array(2.0)], ids=repr)
+def test_lit_and_the_operators_take_only_real_numbers(rng, value):
+    # lit takes what the operators take: TypeError, as for True * x
+    x = rand_tensor(rng, 3)
+    for build in (lambda: lit(value), lambda: x * value,
+                  lambda: leaf(x) + value, lambda: (x + x) * value):
+        with pytest.raises(TypeError):
+            build()
+
+
+@pytest.mark.parametrize("big", [10 ** 400, -10 ** 400] + (
+    [np.longdouble("1e400")]  # where long double is wider than double
+    if np.finfo(np.longdouble).max > np.finfo(np.float64).max else []),
+    ids=lambda v: ("-" if v < 0 else "") + type(v).__name__)
+def test_a_scalar_that_overflows_a_double_raises_domain_error(rng, big):
+    x = rand_tensor(rng, 3)
+    for build in (lambda: lit(big), lambda: x * big, lambda: big * x,
+                  lambda: leaf(x) * big, lambda: (x + x) * big,
+                  lambda: lit(2.0) * big, lambda: x + big):
+        with pytest.raises(DomainError, match="overflows a double"):
+            build()
+
+
+def test_lit_holds_the_float_of_any_real_number():
+    for value in (2, np.float32(0.5), np.int64(3), Fraction(1, 4), -0.0):
+        n = lit(value)
+        assert type(n.value) is float and n.value == float(value)
+    assert np.signbit(lit(-0.0).value)
 
 
 def test_lit_zero_times_tensor(rng):
@@ -89,6 +125,31 @@ def test_normalize_idempotent_random(rng):
     for e in exprs:
         once = normalize(e)
         assert structurally_equal(normalize(once), once)
+    assert structurally_equal(lit(2.0), lit(2.0))
+    assert not structurally_equal(lit(2.0), lit(3.0))
+    assert not structurally_equal(lit(2.0), leaf(a))
+    assert not structurally_equal(a + b, a * b)
+
+
+def test_nodes_print_as_their_trees(rng):
+    a, x = rand_tensor(rng, 3, 3), rand_tensor(rng, 3)
+    assert repr(lit(2.0)) == "Literal(2.0)"
+    assert repr(2.0 * transpose(a)) == f"Term(2.0 * {a!r}^T)"
+    assert repr(a * x + x) == (
+        f"Sum(Product(Term(1.0 * {a!r}), Term(1.0 * {x!r})), "
+        f"Term(1.0 * {x!r}))")
+
+
+def test_a_tensor_subclass_is_an_operand(rng):
+    class Sub(Tensor):
+        __slots__ = ()
+
+    s = Sub(1, 3, fill=2.0)
+    x = rand_tensor(rng, 3)
+    for e, want in ((leaf(x) + s, x.to_numpy() + 2.0),
+                    (normalize(s), np.full(3, 2.0)),
+                    (0.5 * leaf(x) * 4.0 + s, 2.0 * x.to_numpy() + 2.0)):
+        np.testing.assert_array_equal(evaluate(e).to_numpy(), want)
 
 
 def test_transpose_involution_normalizes_away(rng):
@@ -149,6 +210,8 @@ def test_operators_scale_by_any_real_number_but_a_bool(rng):
         True * x
     with pytest.raises(ShapeError, match=r"scalar and tensor\(rank 1\)"):
         infer_kind(2.0 + x)
+    with pytest.raises(ShapeError, match=r"scalar and tensor\(rank 1\)"):
+        infer_kind(2.0 + 0.5 * x)  # Node.__radd__
 
 
 # -- kind inference -----------------------------------------------------------
@@ -162,6 +225,9 @@ def test_kind_dot_is_scalar(rng):
 def test_kind_outer_is_matrix(rng):
     x, y = rand_tensor(rng, 4), rand_tensor(rng, 6)
     assert infer_kind(x * transpose(y)) == ResultKind((4, 6))
+    assert hash(ResultKind((4, 6))) == hash(infer_kind(x * transpose(y)))
+    assert len({ResultKind((4,)), ResultKind((4,), True),
+                ResultKind([4])}) == 2
 
 
 def test_kind_matrix_chain(rng):
@@ -289,6 +355,17 @@ def test_lower_dot(rng):
     x, y = rand_tensor(rng, 8), rand_tensor(rng, 8)
     ops = lower(transpose(x) * y)
     assert [op.kernel for op in ops] == ["dot"]
+
+
+def test_lower_rejects_an_unknown_mode_and_a_tensor_without_destination(
+        rng):
+    x, y = rand_tensor(rng, 4), rand_tensor(rng, 4)
+    reset_log()
+    with pytest.raises(ValueError, match="mode"):
+        lower(x + y, y, mode="x")
+    with pytest.raises(ShapeError, match="destination"):
+        lower(x + y)
+    assert log().records == [] and log().allocations == 0
 
 
 def test_lower_without_destination_has_ops_only_for_a_dot(rng):

@@ -5,17 +5,21 @@ import threading
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lazyblas import (
+    AliasingError,
     DomainError,
     ShapeError,
     Tensor,
     UnknownBackendError,
+    assign,
     kernels,
     matrix,
+    transpose,
     vector,
 )
 from lazyblas.kernels import available_backends, log, reset_log, select_backend
@@ -397,7 +401,9 @@ def _scalar_call(kernel, alpha, beta, dtype=np.float64):
 @pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("kernel", sorted(SCALAR_KERNELS))
 @pytest.mark.parametrize("bad", [1j, None, "2", True, np.True_, 10**400,
-                                 Decimal("0.5"), np.array(2.0), [2.0]],
+                                 Decimal("0.5"), np.array(2.0), [2.0]] + (
+    [np.longdouble("1e400")]  # where long double is wider than double
+    if np.finfo(np.longdouble).max > np.finfo(np.float64).max else []),
                          ids=lambda v: type(v).__name__)
 @pytest.mark.parametrize("slot", ["alpha", "beta"])
 def test_a_scalar_that_is_not_a_real_number_raises_first(backend, kernel,
@@ -470,6 +476,9 @@ def test_nrm2_345():
 
 def test_nrm2_zero_vector():
     assert kernels.nrm2(vector(5)) == 0.0
+    reset_log()
+    assert kernels.nrm2(vector(0)) == 0.0  # an empty vector: one row
+    assert list(log().records) == [kernels.CallRecord("nrm2", ((0,),))]
 
 
 def test_nrm2_no_overflow():
@@ -550,6 +559,12 @@ def test_ger_beta(backend, dtype, beta):
     assert log().element_writes == 6
     assert list(log().records) == [kernels.CallRecord(
         "ger", ((3,), (2,), (3, 2)), 0.5, None if beta == 1.0 else beta)]
+
+
+def test_ger_shape_error():
+    with pytest.raises(ShapeError):
+        kernels.ger(1.0, vector(3), vector(2), matrix(3, 3), 0.0)
+    assert log().records == []
 
 
 def test_ger_vs_loops(rng):
@@ -825,3 +840,97 @@ def test_a_strided_wrap_destination_is_written_in_place(rng, backend, kernel):
     np.testing.assert_allclose(c.to_numpy(), expect, rtol=1e-13)
     np.testing.assert_allclose(buf[::2], expect.ravel(order="F"), rtol=1e-13)
     np.testing.assert_array_equal(buf[1::2], skipped)
+
+
+# -- an overlapping destination --------------------------------------------
+#
+# BLAS reads elements of an operand after it has written them when the
+# destination overlaps it, so each kernel rejects such a call before it
+# logs a row or writes an element, on both backends.
+
+
+def _overlap_operands(rng, dtype):
+    """Owned ``a, b`` (4x4), ``x, y`` (4); ``va, vb`` (4x4) and ``vx, vy``
+    (4) wrapping one buffer ``buf`` at offsets 0 to 3, so that each
+    shares elements with the others; ``wx`` wrapping ``x``'s storage."""
+    o = SimpleNamespace(**{n: rand_tensor(rng, *e, dtype=dtype) for n, e in
+                           (("a", (4, 4)), ("b", (4, 4)), ("x", (4,)),
+                            ("y", (4,)))})
+    o.buf = rng.random(24).astype(dtype)
+    o.va, o.vb = (Tensor.wrap((4, 4), o.buf[i:]) for i in (0, 1))
+    o.vx, o.vy = (Tensor.wrap((4,), o.buf[i:]) for i in (2, 3))
+    o.wx = Tensor.wrap((4,), o.x.column_view())
+    return o
+
+
+OVERLAPS = {
+    # the destination is an operand
+    "gemm-c-is-a": lambda o: kernels.gemm(False, False, 1.0, o.a, o.b, 0.0,
+                                          o.a),
+    "gemm-c-is-b": lambda o: kernels.gemm(True, False, 1.0, o.a, o.b, 1.0,
+                                          o.b),
+    "gemv-y-is-x": lambda o: kernels.gemv(False, 1.0, o.a, o.x, 0.0, o.x),
+    "axpy-y-is-x": lambda o: kernels.axpy(0.5, o.x, o.x, 2.0),
+    "axpy-y-is-x-transposed": lambda o: kernels.axpy(0.5, o.a, o.a, 2.0,
+                                                     True),
+    # the destination shares elements with an operand
+    "gemm-views": lambda o: kernels.gemm(False, False, 1.0, o.va, o.b, 0.0,
+                                         o.vb),
+    "gemv-view-of-a": lambda o: kernels.gemv(False, 1.0, o.va, o.x, 0.5,
+                                             o.vx),
+    "gemv-view-of-x": lambda o: kernels.gemv(True, 1.0, o.a, o.vx, 0.0, o.vy),
+    "ger-view-of-x": lambda o: kernels.ger(1.0, o.vx, o.y, o.va, 0.5),
+    "ger-view-of-y": lambda o: kernels.ger(1.0, o.x, o.vy, o.vb, 1.0),
+    "axpy-views": lambda o: kernels.axpy(2.0, o.vx, o.vy),
+    "axpy-view-of-owned": lambda o: kernels.axpy(2.0, o.wx, o.x, 0.0),
+}
+
+
+@pytest.mark.parametrize("backend,dtype", BACKEND_DTYPES)
+@pytest.mark.parametrize("case", sorted(OVERLAPS))
+def test_an_overlapping_destination_raises_first(rng, backend, dtype, case):
+    select_backend(backend)
+    o = _overlap_operands(rng, dtype)
+    arrays = [o.buf] + [t.column_view() for t in (o.a, o.b, o.x, o.y)]
+    before = [a.copy() for a in arrays]
+    reset_log()
+    with pytest.raises(AliasingError, match=case.split("-")[0]):
+        OVERLAPS[case](o)
+    assert log().records == [] and log().element_writes == 0
+    for a, b in zip(arrays, before):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("backend,dtype", BACKEND_DTYPES)
+@pytest.mark.parametrize("beta", [0.0, 1.0, 3.0])
+def test_axpy_with_alpha_zero_may_overlap(rng, backend, dtype, beta):
+    # alpha 0 reads no x: lowering scales a destination in place with
+    # axpy(0.0, dest, dest, beta)
+    select_backend(backend)
+    o = _overlap_operands(rng, dtype)
+    for x, y, trans in ((o.x, o.x, False), (o.a, o.a, True),
+                        (o.vx, o.vy, False), (o.wx, o.x, False)):
+        want = beta * y.to_numpy()
+        kernels.axpy(0.0, x, y, beta, trans)
+        np.testing.assert_array_equal(y.to_numpy(), want)
+
+
+def test_owned_tensors_never_reach_the_storage_test(rng, monkeypatch):
+    # two tensors that allocated their own buffers cannot overlap; only
+    # identity is tested, in the kernels and in a statement's walk
+    def shares_memory(*args):
+        raise AssertionError("np.shares_memory called")
+
+    monkeypatch.setattr(np, "shares_memory", shares_memory)
+    a, b, c = (rand_tensor(rng, 3, 3) for _ in range(3))
+    x, y = rand_tensor(rng, 3), rand_tensor(rng, 3)
+    kernels.axpy(2.0, x, y, 0.5)
+    kernels.axpy(0.0, y, y, 0.5)
+    kernels.gemv(True, 1.0, a, x, 0.5, y)
+    kernels.ger(1.0, x, y, a, 0.5)
+    kernels.gemm(False, True, 1.0, a, b, 0.5, c)
+    assign(c, a * b + 2.0 * c + x * transpose(y))
+    assign(y, a * x + y)
+    with pytest.raises(AliasingError):
+        assign(a, a * b)
+    assert len(log().records) == 8

@@ -58,6 +58,37 @@ def test_create_errors():
         Tensor(0, 1)
 
 
+# a rank or an extent is an integer: a bool is not one, a numpy integer is
+@pytest.mark.parametrize("make", [
+    lambda: Tensor(True, 3),
+    lambda: Tensor(1, True),
+    lambda: Tensor(2, 3, False),
+    lambda: Tensor(1.0, 3),
+    lambda: Tensor(1, 3.0),
+    lambda: Tensor(1, "3"),
+    lambda: Tensor(1, np.True_),
+    lambda: Tensor.wrap((True,), np.zeros(2)),
+    lambda: Tensor.wrap((2, 1.0), np.zeros(2)),
+    lambda: vector(True),
+    lambda: matrix(2, True),
+], ids=["rank-True", "extent-True", "extent-False", "rank-float",
+        "extent-float", "extent-str", "extent-np-bool", "wrap-True",
+        "wrap-float", "vector-True", "matrix-True"])
+def test_ranks_and_extents_must_be_integers(make):
+    reset_log()
+    with pytest.raises(DomainError, match="not an integer"):
+        make()
+    assert log().allocations == 0
+
+
+def test_ranks_and_extents_may_be_numpy_integers():
+    t = Tensor(np.int64(2), np.int32(3), np.int64(4))
+    assert t.extents == (3, 4) and all(type(e) is int for e in t.extents)
+    assert Tensor(np.int8(3), np.uint16(2)).extents == (2, 2, 2)
+    w = Tensor.wrap((np.int64(2), np.int32(3)), np.zeros(6))
+    assert w.extents == (2, 3)
+
+
 def test_generator_identity_matrix():
     a = Tensor(2, 5, fill=lambda i, j: 1.0 if i == j else 0.0)
     for i in range(5):
@@ -107,6 +138,8 @@ def test_wrap_leaves_buffer_on_destroy():
 def test_wrap_size_mismatch():
     with pytest.raises(DomainError):
         Tensor.wrap((2, 3), np.zeros(5))
+    with pytest.raises(DomainError, match="one-dimensional"):
+        Tensor.wrap((2, 3), np.zeros((2, 3)))
 
 
 def test_wrap_accepts_longer_buffer():
@@ -132,6 +165,32 @@ def test_nested_literal_vector():
 def test_nested_literal_ragged_rejected():
     with pytest.raises(DomainError):
         Tensor.from_nested([[1.0, 2.0], [3.0, 4.0, 5.0]])
+    with pytest.raises(DomainError, match="nested list"):
+        Tensor.from_nested(3.0)
+
+
+def test_nested_literal_may_be_empty():
+    assert Tensor.from_nested([]).extents == (0,)
+    assert Tensor.from_nested([[], []]).extents == (2, 0)
+
+
+def test_nested_literal_allocates_through_the_constructor(monkeypatch):
+    # every allocation counted in the log is a constructor call
+    calls = []
+    init = Tensor.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", spy)
+    reset_log()
+    t = Tensor.from_nested([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+                           dtype=np.float32)
+    assert calls == [((2, 2, 3), {"dtype": np.float32})]
+    assert log().allocations == 1
+    assert t.owns_storage and t.dtype == np.float32
+    assert list(t) == [1.0, 4.0, 2.0, 5.0, 3.0, 6.0]
 
 
 def test_nested_literal_get_round_trip():
@@ -372,11 +431,14 @@ def test_rows_columns():
     a = matrix(4, 8)
     assert a.rows() == 4
     assert a.columns() == 8
+    assert matrix(3).extents == (3, 3)
 
 
 def test_rank_interface_rejected_on_wrong_rank():
     with pytest.raises(RankError):
         vector(3).rows()
+    with pytest.raises(RankError):
+        vector(3).columns()
     with pytest.raises(RankError):
         matrix(2, 2).norm()
 
@@ -403,6 +465,7 @@ def test_format_vector():
 def test_format_matrix():
     t = Tensor.from_nested([[1.0, 2.0], [3.0, 4.0]])
     assert format_tensor(t) == "1 2\n3 4"
+    assert str(t) == "1 2\n3 4"
 
 
 def test_format_empty():
@@ -522,6 +585,31 @@ def test_real_elements_are_accepted(value):
         Tensor.from_nested([value, value]).to_numpy(), want)
 
 
+# a value that a double cannot hold raises DomainError wherever it would
+# become an element, before anything is allocated or written
+BIG = 10 ** 400
+# a long double that a double cannot hold, where long double is wider
+WIDE = ([np.longdouble("1e400")]
+        if np.finfo(np.longdouble).max > np.finfo(np.float64).max else [])
+
+
+def type_name(v):
+    return ("-" if v < 0 else "") + type(v).__name__
+
+
+@pytest.mark.parametrize("big", [BIG, -BIG] + WIDE, ids=type_name)
+def test_a_value_that_overflows_a_double_raises(big):
+    reset_log()
+    for make in (lambda: Tensor(1, 3, fill=big),
+                 lambda: Tensor(2, 2, fill=lambda i, j: big),
+                 lambda: Tensor.from_nested([1.0, big]),
+                 lambda: Tensor.from_nested([[1.0], [big]],
+                                            dtype=np.float32)):
+        with pytest.raises(DomainError, match="overflows a double"):
+            make()
+    assert log().allocations == 0
+
+
 # -- element access: one checked path --------------------------------------
 
 SHAPES = [(3,), (3, 3), (2, 3, 4)]
@@ -545,6 +633,17 @@ def test_element_writes_must_be_real_numbers(extents, value):
     last = tuple(e - 1 for e in extents)
     for write in _writes(t, last, value):
         with pytest.raises(DomainError, match="not a real number"):
+            write()
+    assert (t.to_numpy() == 1.0).all()
+
+
+@pytest.mark.parametrize("extents", SHAPES, ids=str)
+@pytest.mark.parametrize("big", [BIG] + WIDE, ids=type_name)
+def test_element_writes_that_overflow_a_double_raise(extents, big):
+    t = Tensor(len(extents), *extents, fill=1.0)
+    last = tuple(e - 1 for e in extents)
+    for write in _writes(t, last, big):
+        with pytest.raises(DomainError, match="overflows a double"):
             write()
     assert (t.to_numpy() == 1.0).all()
 
